@@ -2,12 +2,14 @@
 
 A monitoring deployment must keep up with block arrival trivially; this
 bench measures pushes/second through a Bitcoin-sized window (144/72) and a
-day of Ethereum-scale feed (6,000 blocks, window 6,000 / stride 3,000).
+day of Ethereum-scale feed (6,000 blocks, window 6,000 / stride 3,000),
+fed by producer name one block at a time and, as ``repro monitor``
+replays a chain, as one stride of integer id columns per push.
 """
 
 import numpy as np
 
-from repro.core.streaming import StreamingMonitor, ThresholdRule
+from repro.core.streaming import BlockRange, StreamingMonitor, ThresholdRule
 
 
 def make_feed(n_blocks: int, n_producers: int, seed: int) -> list[list[str]]:
@@ -40,3 +42,33 @@ def test_perf_streaming_ethereum_scale(benchmark):
 
     result = benchmark(run)
     assert result == []  # quiet feed, no rules
+
+
+def make_columns(n_blocks: int, n_producers: int, seed: int):
+    """The same feed as :func:`make_feed`, as CSR id columns."""
+    rng = np.random.default_rng(seed)
+    shares = rng.dirichlet(np.full(n_producers, 0.5))
+    ids = rng.choice(n_producers, size=n_blocks, p=shares)
+    return np.arange(n_blocks + 1, dtype=np.int64), ids
+
+
+def test_perf_streaming_ethereum_scale_ranges(benchmark):
+    """The `repro monitor` replay path: one stride of id columns per push."""
+    offsets, ids = make_columns(12_000, 70, seed=2)
+    stride = 3_000
+
+    def run():
+        monitor = StreamingMonitor(
+            window_size=6_000, stride=stride, metrics=("gini", "entropy")
+        )
+        alerts = []
+        for start in range(0, ids.shape[0], stride):
+            alerts.extend(monitor.push_range(BlockRange(offsets, ids, start, start + stride)))
+        return monitor, alerts
+
+    monitor, alerts = benchmark(run)
+    assert alerts == []
+    names = StreamingMonitor(window_size=6_000, stride=stride, metrics=("gini", "entropy"))
+    names.push_many(make_feed(12_000, 70, seed=2))
+    # Same blocks by name and by id: the window distributions agree.
+    assert monitor.history("gini") == names.history("gini")

@@ -1003,12 +1003,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _block_feed(chain, limit: int | None) -> Iterator[list[str]]:
-    """Yield each block's producer names, optionally truncated to ``limit``."""
+def _block_feed(chain, limit: int | None, step: int) -> Iterator:
+    """Yield ``step``-block ranges of the chain's id columns, up to ``limit`` blocks."""
+    from repro.core.streaming import BlockRange
+
     n_blocks = chain.n_blocks if limit is None else min(limit, chain.n_blocks)
-    offsets, ids, names = chain.offsets, chain.producer_ids, chain.producer_names
-    for i in range(n_blocks):
-        yield [names[pid] for pid in ids[offsets[i]:offsets[i + 1]]]
+    offsets, ids, width = chain.offsets, chain.producer_ids, len(chain.producer_names)
+    for start in range(0, n_blocks, step):
+        yield BlockRange(offsets, ids, start, min(start + step, n_blocks), width=width)
 
 
 def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
@@ -1145,14 +1147,25 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
         chain_key = _CHAIN_KEYS[args.chain]
         chain = study.chain(chain_key)
         total = chain.n_blocks if args.blocks is None else min(args.blocks, chain.n_blocks)
+        stride = args.stride or max(args.window // 2, 1)
+        # A run that serves, paces, faults or queues its feed exposes or
+        # acts on per-block state, so it ingests one block per feed item
+        # (stride items would finish a served year before any scraper saw
+        # progress); any other replay ingests a stride per item.
+        per_block = (
+            args.serve is not None
+            or args.throttle > 0
+            or bool(args.inject_faults)
+            or args.ingest_queue is not None
+        )
         print(
             f"monitoring {chain.spec.name}: window={args.window} "
-            f"stride={args.stride or max(args.window // 2, 1)} "
+            f"stride={stride} "
             f"blocks={total}",
             flush=True,
         )
         result = run_monitor(
-            _block_feed(chain, args.blocks),
+            _block_feed(chain, args.blocks, 1 if per_block else stride),
             args.window,
             args.stride,
             chain=chain.spec.name,

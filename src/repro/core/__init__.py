@@ -17,21 +17,27 @@ from repro.core.comparison import (
     granularity_ordering,
 )
 from repro.core.engine import MeasurementEngine
-from repro.core.rolling import RollingHistogram
 from repro.core.series import MeasurementSeries
-from repro.core.streaming import Alert, StreamingMonitor, ThresholdRule
+from repro.core.streaming import (
+    Alert,
+    BlockRange,
+    SlidingHistogram,
+    StreamingMonitor,
+    ThresholdRule,
+)
 from repro.core.summary import SeriesSummary, summarize
 from repro.core.trend import detrend, linear_trend, rolling_mean, rolling_std
 
 __all__ = [
     "Alert",
     "AnomalyReport",
+    "BlockRange",
     "ChangePoint",
+    "SlidingHistogram",
     "StreamingMonitor",
     "ThresholdRule",
     "ChangePointReport",
     "MeasurementEngine",
-    "RollingHistogram",
     "cusum_changepoints",
     "detrend",
     "linear_trend",

@@ -2,11 +2,18 @@
 
 The paper motivates sliding windows with timeliness: discovering abnormal
 changes as they happen, not at the end of a calendar interval.  This
-module is that deployment story: a :class:`StreamingMonitor` ingests
-blocks one at a time, maintains the trailing-N-blocks credit distribution
-incrementally (O(producers-per-block) per push), recomputes the metrics
-every ``stride`` blocks — the sliding step M — and fires alerts when a
-metric crosses a configured threshold.
+module is that deployment story.  A :class:`StreamingMonitor` ingests
+blocks, recomputes the metrics every ``stride`` blocks — the sliding
+step M — over the trailing ``window_size`` blocks — the window N — and
+fires alerts when a metric crosses a configured threshold.
+
+Blocks arrive either one at a time as producer names
+(:meth:`StreamingMonitor.push`) or as ranges over a chain's integer
+columns (:meth:`StreamingMonitor.push_range` with a :class:`BlockRange`).
+Both feed one kernel, :class:`SlidingHistogram`, which builds each
+window from per-segment histograms exactly the way the batch engine's
+``Credits.sliding_histograms`` does, so streaming and batch values agree
+bit for bit.
 
 >>> monitor = StreamingMonitor(window_size=144, stride=72)
 >>> monitor.add_rule(ThresholdRule("nakamoto", below=4))       # doctest: +SKIP
@@ -18,15 +25,22 @@ metric crosses a configured threshold.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from math import gcd
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro import obs
-from repro.core.rolling import RollingHistogram
 from repro.errors import MeasurementError
 from repro.metrics.base import DistributionBatch, Metric, compute_batch, get_metric
 
 logger = logging.getLogger(__name__)
+
+#: Blocks per chunk of the kernel's own id column; a full chunk is left
+#: for trimming and a new one started, so no retained row is ever moved.
+_OWN_CHUNK_BLOCKS = 4096
 
 
 @dataclass(frozen=True)
@@ -64,8 +78,233 @@ class Alert:
         return f"block {self.block_count}: {self.metric}={self.value:.4f}"
 
 
+class BlockRange(NamedTuple):
+    """Blocks ``[start, stop)`` of shared CSR block columns, as one feed item.
+
+    The credits of block ``b`` are rows ``offsets[b]:offsets[b + 1]`` of
+    ``ids`` (integer producer ids below ``width``) and ``weights``;
+    ``weights=None`` means every credit is worth 1.  Consecutive ranges
+    over the same column objects cost the kernel an end-pointer advance.
+    """
+
+    offsets: np.ndarray
+    ids: np.ndarray
+    start: int
+    stop: int
+    weights: np.ndarray | None = None
+    width: int | None = None
+
+
+class _Piece:
+    """Column blocks ``[lo, hi)``, holding stream blocks from ``first`` on."""
+
+    __slots__ = ("offsets", "ids", "weights", "lo", "hi", "first")
+
+    def __init__(self, offsets, ids, weights, lo: int, hi: int, first: int) -> None:
+        self.offsets = offsets
+        self.ids = ids
+        self.weights = weights
+        self.lo = lo
+        self.hi = hi
+        self.first = first
+
+    @property
+    def last(self) -> int:
+        """One past the last stream block held."""
+        return self.first + self.hi - self.lo
+
+
+class SlidingHistogram:
+    """Trailing-window credit histograms over CSR block columns.
+
+    The window of ``window_size`` (N) blocks is evaluated every ``stride``
+    (M) blocks once full.  Blocks are cut into segments of
+    ``g = gcd(N, M)`` blocks; each closed segment becomes one
+    ``np.bincount`` histogram, and a window is the in-order sum of its
+    last ``N/g`` segments.  That is the construction, and the addition
+    order, of ``Credits.sliding_histograms``, so window histograms are
+    bitwise identical to the batch engine's rows.
+
+    Blocks come from columns the caller owns (:meth:`extend`, one
+    end-pointer advance for a range contiguous with the last one) or
+    from the kernel's own id column (:meth:`append`, one block at a
+    time).  Only the rows of the trailing window are retained.
+    ``on_window(block_count)`` is called at every evaluation point, while
+    :meth:`window_histogram` and :attr:`end` describe that point.
+    """
+
+    def __init__(
+        self,
+        window_size: int,
+        stride: int,
+        on_window: Callable[[int], None] | None = None,
+    ) -> None:
+        if window_size <= 0 or stride <= 0:
+            raise MeasurementError(
+                f"window_size and stride must be positive, got {window_size}/{stride}"
+            )
+        self.window_size = window_size
+        self.stride = stride
+        self.segment = gcd(window_size, stride)
+        #: Histogram width: one past the largest id ingested or declared.
+        self.width = 0
+        #: Blocks ingested so far.
+        self.end = 0
+        self._on_window = on_window
+        #: Closed segments as sparse (ids, values), oldest first.
+        self._ring: deque[tuple[np.ndarray, np.ndarray]] = deque(
+            maxlen=window_size // self.segment
+        )
+        self._pieces: deque[_Piece] = deque()
+        self._own: _Piece | None = None
+
+    # -- ingestion ------------------------------------------------------------
+
+    def extend(
+        self,
+        offsets: np.ndarray,
+        ids: np.ndarray,
+        start: int,
+        stop: int,
+        weights: np.ndarray | None = None,
+        width: int | None = None,
+    ) -> None:
+        """Ingest blocks ``[start, stop)`` of shared columns (see :class:`BlockRange`)."""
+        if not 0 <= start <= stop:
+            raise MeasurementError(f"invalid block range [{start}, {stop})")
+        if start == stop:
+            return
+        pieces = self._pieces
+        last = pieces[-1] if pieces else None
+        if (
+            last is not None
+            and last.hi == start
+            and last.ids is ids
+            and last.offsets is offsets
+            and last.weights is weights
+        ):
+            last.hi = stop
+        else:
+            pieces.append(_Piece(offsets, ids, weights, start, stop, self.end))
+            self._own = None
+            if width is None:
+                width = int(np.max(ids)) + 1 if len(ids) else 0
+        if width is not None and width > self.width:
+            self.width = width
+        self._advance(self.end + stop - start)
+
+    def append(self, ids: Sequence[int], weight: float | None = None) -> None:
+        """Ingest one block into the kernel's own id column.
+
+        Every id gets ``weight`` credit (``None`` = 1).  The caller keeps
+        :attr:`width` above every id it appends.
+        """
+        own = self._own
+        if own is None or own.hi == _OWN_CHUNK_BLOCKS:
+            own = self._own = _Piece([0], [], None, 0, 0, self.end)
+            self._pieces.append(own)
+        if weight is not None and own.weights is None:
+            own.weights = [1.0] * len(own.ids)
+        own.ids.extend(ids)
+        if own.weights is not None:
+            own.weights.extend([1.0 if weight is None else weight] * len(ids))
+        own.offsets.append(len(own.ids))
+        own.hi += 1
+        self._advance(self.end + 1)
+
+    def _advance(self, new_end: int) -> None:
+        g = self.segment
+        boundary = self.end - self.end % g + g
+        if boundary > new_end:
+            self.end = new_end
+            return
+        first_point, stride = self.window_size, self.stride
+        while boundary <= new_end:
+            self.end = boundary
+            self._ring.append(self._close_segment(boundary - g, boundary))
+            if (
+                boundary >= first_point
+                and (boundary - first_point) % stride == 0
+                and self._on_window is not None
+            ):
+                self._on_window(boundary)
+            boundary += g
+        self.end = new_end
+        horizon = new_end - self.window_size
+        pieces = self._pieces
+        while len(pieces) > 1 and pieces[0].last <= horizon:
+            pieces.popleft()
+
+    def _close_segment(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        histogram = self._bincount(lo, hi)
+        present = np.flatnonzero(histogram)
+        return present, histogram[present].astype(np.float64, copy=False)
+
+    # -- histograms -----------------------------------------------------------
+
+    def _rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The (ids, weights) rows of stream blocks ``[lo, hi)``, in order."""
+        ids: list[np.ndarray] = []
+        weights: list[np.ndarray | None] = []
+        for piece in self._pieces:
+            if piece.last <= lo:
+                continue
+            if piece.first >= hi:
+                break
+            a = piece.lo + max(lo, piece.first) - piece.first
+            b = piece.lo + min(hi, piece.last) - piece.first
+            r0, r1 = piece.offsets[a], piece.offsets[b]
+            rows = piece.ids[r0:r1]
+            ids.append(np.array(rows, dtype=np.intp) if isinstance(rows, list) else rows)
+            weights.append(
+                None if piece.weights is None
+                else np.asarray(piece.weights[r0:r1], dtype=np.float64)
+            )
+        if all(w is None for w in weights):
+            merged_weights = None
+        else:
+            merged_weights = np.concatenate([
+                np.ones(len(i)) if w is None else w for i, w in zip(ids, weights)
+            ])
+        merged_ids = ids[0] if len(ids) == 1 else np.concatenate(ids or [np.zeros(0, np.intp)])
+        return merged_ids, merged_weights
+
+    def _bincount(self, lo: int, hi: int) -> np.ndarray:
+        """Credit totals per id over stream blocks ``[lo, hi)``; integer
+        counts when no retained row carries a weight."""
+        ids, weights = self._rows(lo, hi)
+        return np.bincount(ids, weights=weights, minlength=self.width)
+
+    def window_histogram(self) -> np.ndarray:
+        """Per-id credit totals of the window ending at the last closed segment.
+
+        At an evaluation point that is the window being evaluated.
+        """
+        ring = self._ring
+        if not ring:
+            return np.zeros(self.width)
+        ids = np.concatenate([segment[0] for segment in ring])
+        values = np.concatenate([segment[1] for segment in ring])
+        return np.bincount(ids, weights=values, minlength=self.width)
+
+    def trailing_histogram(self) -> np.ndarray:
+        """Per-id credit totals of the last ``window_size`` blocks (or fewer).
+
+        Computed from the retained rows on demand, at any block count.
+        """
+        histogram = self._bincount(max(self.end - self.window_size, 0), self.end)
+        return histogram.astype(np.float64, copy=False)
+
+
 class StreamingMonitor:
-    """Incremental sliding-window measurement with threshold alerts."""
+    """Incremental sliding-window measurement with threshold alerts.
+
+    A monitor ingests either producer names (:meth:`push`) or ranges of a
+    chain's integer id columns (:meth:`push_range`), not both.  Names are
+    interned into slots of the kernel's own id column; a slot is recycled
+    as soon as its producer has left the window, so memory stays bounded
+    by the producers active in the window, not by those ever seen.
+    """
 
     def __init__(
         self,
@@ -85,12 +324,22 @@ class StreamingMonitor:
             get_metric(metric) if isinstance(metric, str) else metric
             for metric in metrics
         ]
-        self._window = RollingHistogram(capacity=window_size)
+        self._kernel = SlidingHistogram(window_size, stride, on_window=self._evaluate)
         self._rules: list[ThresholdRule] = []
-        self._block_count = 0
         self._history: dict[str, list[tuple[int, float]]] = {
             metric.name: [] for metric in self._metrics
         }
+        self._alerts: list[Alert] = []
+        #: "names" or "ranges", fixed by the first block ingested.
+        self._source: str | None = None
+        # Names adapter: producer name -> slot in the kernel's id column.
+        self._slot_of: dict[str, int] = {}
+        self._names: list[str] = []
+        #: Per-slot credit count over the trailing window.
+        self._credits: list[int] = []
+        self._free: list[int] = []
+        #: Slots of each block in the trailing window, oldest first.
+        self._recent: deque[list[int]] = deque()
 
     # -- configuration -------------------------------------------------------
 
@@ -105,6 +354,14 @@ class StreamingMonitor:
 
     # -- ingestion --------------------------------------------------------------
 
+    def _bind(self, source: str) -> None:
+        if self._source is None:
+            self._source = source
+        elif self._source != source:
+            raise MeasurementError(
+                "a monitor ingests producer names or column ranges, not both"
+            )
+
     def push(self, producers: Sequence[str], fractional: bool = False) -> list[Alert]:
         """Ingest one block; returns any alerts fired by this push.
 
@@ -114,15 +371,32 @@ class StreamingMonitor:
         """
         if not producers:
             raise MeasurementError("a block needs at least one producer")
-        weight_each = 1.0 / len(producers) if fractional else 1.0
-        self._window.push(producers, weight_each)
-        self._block_count += 1
-        if (
-            self._block_count < self.window_size
-            or (self._block_count - self.window_size) % self.stride != 0
-        ):
-            return []
-        return self._evaluate()
+        if self._source != "names":
+            self._bind("names")
+        recent = self._recent
+        if len(recent) == self.window_size:
+            # The oldest block leaves before the new one is interned, so a
+            # freed slot can be reused at once and the table never holds
+            # more than window_size x producers-per-block slots.
+            self._release(recent.popleft())
+        slot_of, credits = self._slot_of, self._credits
+        slots = []
+        for name in producers:
+            slot = slot_of.get(name)
+            if slot is None:
+                slot = self._intern(name)
+            credits[slot] += 1
+            slots.append(slot)
+        recent.append(slots)
+        self._kernel.append(slots, 1.0 / len(slots) if fractional else None)
+        return self._take_alerts()
+
+    def push_range(self, blocks: BlockRange) -> list[Alert]:
+        """Ingest a range of blocks; returns the alerts of every evaluation in it."""
+        if self._source != "ranges":
+            self._bind("ranges")
+        self._kernel.extend(*blocks)
+        return self._take_alerts()
 
     def push_many(self, blocks: Sequence[Sequence[str]]) -> list[Alert]:
         """Ingest a batch of blocks; returns all alerts fired."""
@@ -131,24 +405,50 @@ class StreamingMonitor:
             alerts.extend(self.push(producers))
         return alerts
 
-    def _evaluate(self) -> list[Alert]:
+    def _intern(self, name: str) -> int:
+        if self._free:
+            slot = self._free.pop()
+            self._names[slot] = name
+        else:
+            slot = len(self._names)
+            self._names.append(name)
+            self._credits.append(0)
+            self._kernel.width = slot + 1
+        self._slot_of[name] = slot
+        return slot
+
+    def _release(self, slots: list[int]) -> None:
+        credits = self._credits
+        for slot in slots:
+            credits[slot] -= 1
+            if credits[slot] == 0:
+                del self._slot_of[self._names[slot]]
+                self._free.append(slot)
+
+    def _take_alerts(self) -> list[Alert]:
+        alerts = self._alerts
+        if not alerts:
+            return []
+        self._alerts = []
+        return alerts
+
+    def _evaluate(self, block_count: int) -> None:
         # One-row batch so every monitored metric shares a single sort of
-        # the current window's distribution.
-        with obs.span("streaming.evaluate", block_count=self._block_count):
-            batch = DistributionBatch.from_distributions(
-                [self._window.distribution()]
-            )
+        # the window's distribution.
+        with obs.span("streaming.evaluate", block_count=block_count):
+            window = self._kernel.window_histogram()
+            batch = DistributionBatch(window[window > 0][np.newaxis, :])
             alerts: list[Alert] = []
             for metric in self._metrics:
                 value = float(compute_batch(metric, batch)[0])
-                self._history[metric.name].append((self._block_count, value))
+                self._history[metric.name].append((block_count, value))
                 for rule in self._rules:
                     if rule.metric == metric.name and rule.triggered(value):
                         alerts.append(
                             Alert(
                                 metric=metric.name,
                                 value=value,
-                                block_count=self._block_count,
+                                block_count=block_count,
                                 rule=rule,
                             )
                         )
@@ -161,14 +461,14 @@ class StreamingMonitor:
                     alert.metric, alert.value, alert.block_count,
                     alert.rule.below, alert.rule.above,
                 )
-        return alerts
+            self._alerts.extend(alerts)
 
     # -- inspection -----------------------------------------------------------------
 
     @property
     def blocks_seen(self) -> int:
         """Total blocks pushed so far."""
-        return self._block_count
+        return self._kernel.end
 
     @property
     def metric_names(self) -> tuple[str, ...]:
@@ -180,6 +480,14 @@ class StreamingMonitor:
         """How many window evaluations have run so far."""
         return len(next(iter(self._history.values()), ()))
 
+    def evaluations_since(self, index: int) -> list[tuple[int, dict[str, float]]]:
+        """``(block_count, {metric: value})`` of evaluations ``index`` onwards."""
+        first = next(iter(self._history.values()), [])
+        return [
+            (first[i][0], {name: history[i][1] for name, history in self._history.items()})
+            for i in range(index, len(first))
+        ]
+
     def latest(self) -> dict[str, float]:
         """Most recent value per monitored metric (empty before 1st window)."""
         return {
@@ -189,11 +497,12 @@ class StreamingMonitor:
         }
 
     def current(self, metric: str) -> float:
-        """Compute ``metric`` over the current window immediately."""
-        if self._window.n_blocks == 0:
+        """Compute ``metric`` over the trailing window immediately."""
+        if self._kernel.end == 0:
             raise MeasurementError("no blocks in the window yet")
         resolved = get_metric(metric)
-        return float(resolved.compute(self._window.distribution()))
+        window = self._kernel.trailing_histogram()
+        return float(resolved.compute(window[window > 0]))
 
     def history(self, metric: str) -> list[tuple[int, float]]:
         """(block_count, value) pairs of all evaluations for ``metric``."""
@@ -204,4 +513,6 @@ class StreamingMonitor:
 
     def producers_in_window(self) -> int:
         """Distinct producers currently in the window."""
-        return self._window.n_active
+        if self._source == "names":
+            return len(self._slot_of)
+        return int(np.count_nonzero(self._kernel.trailing_histogram()))

@@ -98,6 +98,9 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
 
     server: _TelemetryHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle on, the body of a
+    # keep-alive response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
         registry = self.server.registry

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro import obs
-from repro.core.streaming import StreamingMonitor, ThresholdRule
+from repro.core.streaming import Alert, BlockRange, StreamingMonitor, ThresholdRule
 from repro.errors import ResilienceError
 from repro.obs.alerts import (
     AlertManager,
@@ -56,7 +56,7 @@ class MonitorRun:
 
 
 def run_monitor(
-    feed: Iterable[Sequence[str]],
+    feed: Iterable[Sequence[str] | BlockRange],
     window_size: int,
     stride: int | None = None,
     *,
@@ -87,13 +87,18 @@ def run_monitor(
 ) -> MonitorRun:
     """Replay ``feed`` through a streaming monitor, optionally serving scrapes.
 
-    ``feed`` yields one block's producer names at a time.  With
+    ``feed`` yields items that are either one block's producer names or a
+    :class:`~repro.core.streaming.BlockRange` of a chain's id columns.
+    Progress gauges, the ``monitor.push_seconds`` timing and their
+    history are recorded once per item; every window evaluation inside
+    an item is recorded (history, ``/status``, alert engine) exactly as
+    if its blocks had been pushed one at a time.  With
     ``serve_port`` (0 = ephemeral) a :class:`TelemetryServer` answers
     ``/metrics``, ``/healthz``, ``/readyz`` and ``/status`` concurrently;
     ``port_file`` gets the bound port written to it for scripted scrapers.
-    ``throttle`` sleeps that many seconds between blocks, ``linger`` keeps
+    ``throttle`` sleeps that many seconds between items, ``linger`` keeps
     the server up that long after the feed ends (interrupted by
-    ``stop_event``), and ``stop_event`` aborts ingestion between blocks —
+    ``stop_event``), and ``stop_event`` aborts ingestion between items —
     the CLI sets it from SIGINT/SIGTERM.
 
     With ``max_restarts`` the ingest loop runs under a
@@ -202,18 +207,15 @@ def run_monitor(
         )
         state.ingest_fn = queue.stats
 
-    def manager_values() -> dict[str, float]:
-        """Latest metrics extended with ingest progress, for alert rules."""
-        values = dict(monitor.latest())
-        values["blocks_ingested"] = float(monitor.blocks_seen)
-        if total_blocks is not None:
-            values["lag_blocks"] = float(total_blocks - monitor.blocks_seen)
-        return values
-
-    def run_alert_engine() -> None:
+    def run_alert_engine(latest: dict[str, float], blocks: int) -> None:
+        """Evaluate the stateful rules over ``latest`` extended with progress."""
         if manager is None:
             return
-        for event in manager.evaluate(manager_values()):
+        values = dict(latest)
+        values["blocks_ingested"] = float(blocks)
+        if total_blocks is not None:
+            values["lag_blocks"] = float(total_blocks - blocks)
+        for event in manager.evaluate(values):
             print_fn(format_alert_event(event.as_dict()))
 
     if serve_port is not None:
@@ -256,35 +258,43 @@ def run_monitor(
 
     def ingest() -> None:
         """One incarnation of the ingest loop over the shared source."""
-        nonlocal alerts_total
-        for producers in source:
+        for item in source:
             if stop_event.is_set():
                 logger.info("monitor stopping early at block %d", monitor.blocks_seen)
                 return
+            evaluated = monitor.evaluations
             start = time.perf_counter()
-            alerts = monitor.push(producers)
+            if isinstance(item, BlockRange):
+                alerts = monitor.push_range(item)
+            else:
+                alerts = monitor.push(item)
             push_timing.observe(time.perf_counter() - start)
-            blocks_gauge.set(monitor.blocks_seen)
-            state.record_push(monitor.blocks_seen)
+            blocks = monitor.blocks_seen
+            blocks_gauge.set(blocks)
+            state.record_push(blocks)
             if total_blocks is not None:
-                lag_gauge.set(total_blocks - monitor.blocks_seen)
-            if monitor.evaluations > state.evaluations:
-                latest = monitor.latest()
-                for name, value in latest.items():
-                    registry.gauge(f"monitor.latest.{name}").set(value)
-                    if store is not None:
-                        store.record(
-                            f"monitor.metric.{chain}.{name}", value, kind="metric"
-                        )
-                state.record_evaluation(latest, len(alerts))
-                run_alert_engine()
-            if alerts:
-                alerts_total += len(alerts)
-                registry.counter("monitor.alerts_total").inc(len(alerts))
-                for alert in alerts:
-                    print_fn(f"ALERT {alert}")
+                lag_gauge.set(total_blocks - blocks)
+            if monitor.evaluations != evaluated:
+                for count, latest in monitor.evaluations_since(evaluated):
+                    fired = [a for a in alerts if a.block_count == count]
+                    record_evaluation(count, latest, fired)
             if throttle > 0.0 and queue is None:
                 stop_event.wait(throttle)
+
+    def record_evaluation(count: int, latest: dict[str, float], fired: list[Alert]) -> None:
+        """Record one window evaluation, as if ingest had stopped at ``count``."""
+        nonlocal alerts_total
+        for name, value in latest.items():
+            registry.gauge(f"monitor.latest.{name}").set(value)
+            if store is not None:
+                store.record(f"monitor.metric.{chain}.{name}", value, kind="metric")
+        state.record_evaluation(latest, len(fired))
+        run_alert_engine(latest, count)
+        if fired:
+            alerts_total += len(fired)
+            registry.counter("monitor.alerts_total").inc(len(fired))
+            for alert in fired:
+                print_fn(f"ALERT {alert}")
 
     try:
         if queue is not None:
@@ -307,7 +317,7 @@ def run_monitor(
         state.mark_finished()
         # One settled pass so progress-based rules (e.g. lag_blocks) can
         # resolve before the server lingers for its final scrapes.
-        run_alert_engine()
+        run_alert_engine(monitor.latest(), monitor.blocks_seen)
         if server is not None and linger != 0.0 and not stop_event.is_set():
             stop_event.wait(None if linger < 0 else linger)
     finally:

@@ -1,75 +1,92 @@
-"""Tests for the incremental trailing-window histogram."""
+"""Tests for the trailing-window histogram of the streaming monitor.
+
+The per-block rolling histogram was replaced by
+:class:`~repro.core.streaming.SlidingHistogram`; its cases run here
+against the new kernel.  Windows are rebuilt from retained rows, never by
+subtraction, so removal is exact for fractional weights too.
+"""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core.rolling import RollingHistogram
+from repro.core.streaming import SlidingHistogram, StreamingMonitor
 from repro.errors import MeasurementError
 
 
+def trailing(kernel: SlidingHistogram) -> dict[int, float]:
+    histogram = kernel.trailing_histogram()
+    return {int(i): float(histogram[i]) for i in np.flatnonzero(histogram)}
+
+
 class TestRollingHistogram:
+    """Trailing-window cases first written for the per-block rolling
+    histogram, run against the kernel that replaced it: blocks appended
+    one at a time to its own id column, or pushed by producer name."""
+
     def test_counts_before_capacity(self):
-        rolling = RollingHistogram(capacity=10)
-        for name in ["a", "b", "a", "c"]:
-            rolling.push([name])
-        assert rolling.n_blocks == 4
-        assert rolling.n_active == 3
-        assert sorted(rolling.distribution().tolist()) == [1.0, 1.0, 2.0]
+        kernel = SlidingHistogram(10, 5)
+        kernel.width = 3
+        for block in ([0], [1], [0], [2]):
+            kernel.append(block)
+        assert kernel.end == 4
+        assert trailing(kernel) == {0: 2.0, 1: 1.0, 2: 1.0}
 
     def test_eviction_removes_oldest_block(self):
-        rolling = RollingHistogram(capacity=2)
-        rolling.push(["a"])
-        rolling.push(["b"])
-        rolling.push(["c"])  # evicts a
-        assert rolling.n_blocks == 2
-        names, weights = rolling.distribution_with_entities()
-        assert names == ["b", "c"]
-        assert weights.tolist() == [1.0, 1.0]
+        kernel = SlidingHistogram(2, 1)
+        kernel.width = 3
+        for block in ([0], [1], [2]):
+            kernel.append(block)
+        assert kernel.trailing_histogram().tolist() == [0.0, 1.0, 1.0]
 
     def test_exact_zero_removal_with_fractional_weights(self):
-        """Count-based removal is exact even for 1/k weights that don't
-        subtract back to a clean zero."""
-        rolling = RollingHistogram(capacity=1)
-        rolling.push(["a", "b", "c"], weight_each=1.0 / 3.0)
-        rolling.push(["d"])  # evicts the fractional block entirely
-        assert rolling.n_active == 1
-        assert rolling.distribution().tolist() == [1.0]
+        """A fractional block leaves the window without a float residue:
+        windows are rebuilt from rows, never by subtraction."""
+        kernel = SlidingHistogram(1, 1)
+        kernel.width = 4
+        kernel.append([0, 1, 2], 1.0 / 3.0)
+        kernel.append([3])
+        assert trailing(kernel) == {3: 1.0}
+        monitor = StreamingMonitor(window_size=1, stride=1, metrics=("gini",))
+        monitor.push(["a", "b", "c"], fractional=True)
+        monitor.push(["d"])
+        assert monitor.producers_in_window() == 1
+        assert monitor.current("gini") == 0.0
 
     def test_multi_producer_blocks(self):
-        rolling = RollingHistogram(capacity=3)
-        rolling.push(["a", "b"])
-        rolling.push(["a"])
-        assert rolling.n_active == 2
-        names, weights = rolling.distribution_with_entities()
-        assert dict(zip(names, weights.tolist())) == {"a": 2.0, "b": 1.0}
+        kernel = SlidingHistogram(3, 1)
+        kernel.width = 2
+        kernel.append([0, 1])
+        kernel.append([0])
+        assert trailing(kernel) == {0: 2.0, 1: 1.0}
 
     def test_slot_table_growth(self):
-        rolling = RollingHistogram(capacity=100)
-        for i in range(50):  # exceeds the initial 16 slots
-            rolling.push([f"p{i}"])
-        assert rolling.n_active == 50
-        assert rolling.distribution().shape == (50,)
+        monitor = StreamingMonitor(window_size=100, stride=50, metrics=("gini",))
+        for i in range(50):
+            monitor.push([f"p{i}"])
+        assert monitor.producers_in_window() == 50
+        assert monitor.current("gini") == 0.0
 
     def test_reference_equivalence_random_feed(self):
-        from collections import Counter
-
         rng = np.random.default_rng(0)
-        names = [f"p{i}" for i in range(7)]
         blocks = [
-            list(rng.choice(names, size=int(rng.integers(1, 4)), replace=False))
+            [int(p) for p in rng.choice(7, size=int(rng.integers(1, 4)), replace=False)]
             for _ in range(300)
         ]
-        rolling = RollingHistogram(capacity=25)
+        kernel = SlidingHistogram(25, 10)
+        kernel.width = 7
         for block in blocks:
-            rolling.push(block)
+            kernel.append(block)
         reference = Counter(p for block in blocks[-25:] for p in block)
-        got_names, got_weights = rolling.distribution_with_entities()
-        assert dict(zip(got_names, got_weights.tolist())) == {
-            name: float(count) for name, count in reference.items()
-        }
+        assert trailing(kernel) == {p: float(n) for p, n in reference.items()}
 
     def test_invalid_input_rejected(self):
         with pytest.raises(MeasurementError):
-            RollingHistogram(capacity=0)
+            SlidingHistogram(0, 1)
         with pytest.raises(MeasurementError):
-            RollingHistogram(capacity=4).push([])
+            SlidingHistogram(4, 0)
+        with pytest.raises(MeasurementError):
+            StreamingMonitor(window_size=4).push([])
+        with pytest.raises(MeasurementError):
+            SlidingHistogram(4, 2).extend(np.array([0, 1]), np.array([0]), 1, 0)
