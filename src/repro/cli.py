@@ -1008,9 +1008,9 @@ def _block_feed(chain, limit: int | None, step: int) -> Iterator:
     from repro.core.streaming import BlockRange
 
     n_blocks = chain.n_blocks if limit is None else min(limit, chain.n_blocks)
-    offsets, ids, width = chain.offsets, chain.producer_ids, len(chain.producer_names)
+    offsets, ids = chain.offsets, chain.producer_ids
     for start in range(0, n_blocks, step):
-        yield BlockRange(offsets, ids, start, min(start + step, n_blocks), width=width)
+        yield BlockRange(offsets, ids, start, min(start + step, n_blocks))
 
 
 def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:

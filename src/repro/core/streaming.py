@@ -82,7 +82,7 @@ class BlockRange(NamedTuple):
     """Blocks ``[start, stop)`` of shared CSR block columns, as one feed item.
 
     The credits of block ``b`` are rows ``offsets[b]:offsets[b + 1]`` of
-    ``ids`` (integer producer ids below ``width``) and ``weights``;
+    ``ids`` (non-negative integer producer ids) and ``weights``;
     ``weights=None`` means every credit is worth 1.  Consecutive ranges
     over the same column objects cost the kernel an end-pointer advance.
     """
@@ -92,7 +92,6 @@ class BlockRange(NamedTuple):
     start: int
     stop: int
     weights: np.ndarray | None = None
-    width: int | None = None
 
 
 class _Piece:
@@ -119,11 +118,13 @@ class SlidingHistogram:
 
     The window of ``window_size`` (N) blocks is evaluated every ``stride``
     (M) blocks once full.  Blocks are cut into segments of
-    ``g = gcd(N, M)`` blocks; each closed segment becomes one
+    ``g = gcd(N, M)`` blocks; each closed segment becomes one sparse
     ``np.bincount`` histogram, and a window is the in-order sum of its
     last ``N/g`` segments.  That is the construction, and the addition
     order, of ``Credits.sliding_histograms``, so window histograms are
-    bitwise identical to the batch engine's rows.
+    bitwise identical to the batch engine's rows.  The sparse segments
+    sit end to end in one flat buffer, so a window is a single
+    ``np.bincount`` over a slice, whatever ``N/g`` is.
 
     Blocks come from columns the caller owns (:meth:`extend`, one
     end-pointer advance for a range contiguous with the last one) or
@@ -131,6 +132,7 @@ class SlidingHistogram:
     time).  Only the rows of the trailing window are retained.
     ``on_window(block_count)`` is called at every evaluation point, while
     :meth:`window_histogram` and :attr:`end` describe that point.
+    Histograms are as wide as the largest id they hold, plus one.
     """
 
     def __init__(
@@ -146,15 +148,17 @@ class SlidingHistogram:
         self.window_size = window_size
         self.stride = stride
         self.segment = gcd(window_size, stride)
-        #: Histogram width: one past the largest id ingested or declared.
-        self.width = 0
         #: Blocks ingested so far.
         self.end = 0
         self._on_window = on_window
-        #: Closed segments as sparse (ids, values), oldest first.
-        self._ring: deque[tuple[np.ndarray, np.ndarray]] = deque(
-            maxlen=window_size // self.segment
-        )
+        # Closed segments as sparse (id, value) entries, oldest first:
+        # buffer slot = entry number - _base, and _starts holds the entry
+        # number of each of the last N/g segments.
+        self._ids = np.zeros(0, dtype=np.intp)
+        self._values = np.zeros(0, dtype=np.float64)
+        self._base = 0
+        self._entries = 0
+        self._starts: deque[int] = deque(maxlen=window_size // self.segment)
         self._pieces: deque[_Piece] = deque()
         self._own: _Piece | None = None
 
@@ -167,7 +171,6 @@ class SlidingHistogram:
         start: int,
         stop: int,
         weights: np.ndarray | None = None,
-        width: int | None = None,
     ) -> None:
         """Ingest blocks ``[start, stop)`` of shared columns (see :class:`BlockRange`)."""
         if not 0 <= start <= stop:
@@ -187,30 +190,28 @@ class SlidingHistogram:
         else:
             pieces.append(_Piece(offsets, ids, weights, start, stop, self.end))
             self._own = None
-            if width is None:
-                width = int(np.max(ids)) + 1 if len(ids) else 0
-        if width is not None and width > self.width:
-            self.width = width
         self._advance(self.end + stop - start)
 
-    def append(self, ids: Sequence[int], weight: float | None = None) -> None:
-        """Ingest one block into the kernel's own id column.
-
-        Every id gets ``weight`` credit (``None`` = 1).  The caller keeps
-        :attr:`width` above every id it appends.
-        """
+    def append(self, ids: Sequence[int], weight: float = 1.0) -> None:
+        """Ingest one block into the kernel's own id column, each id
+        getting ``weight`` credit."""
         own = self._own
         if own is None or own.hi == _OWN_CHUNK_BLOCKS:
-            own = self._own = _Piece([0], [], None, 0, 0, self.end)
+            own = self._own = _Piece([0], [], [], 0, 0, self.end)
             self._pieces.append(own)
-        if weight is not None and own.weights is None:
-            own.weights = [1.0] * len(own.ids)
         own.ids.extend(ids)
-        if own.weights is not None:
-            own.weights.extend([1.0 if weight is None else weight] * len(ids))
+        own.weights.extend([weight] * len(ids))
         own.offsets.append(len(own.ids))
         own.hi += 1
         self._advance(self.end + 1)
+
+    def block_ids(self, block: int) -> Sequence[int]:
+        """The ids of stream block ``block``, one of the last ``window_size``."""
+        for piece in self._pieces:
+            if block < piece.last:
+                row = piece.lo + block - piece.first
+                return piece.ids[piece.offsets[row]:piece.offsets[row + 1]]
+        raise MeasurementError(f"block {block} has not been ingested")
 
     def _advance(self, new_end: int) -> None:
         g = self.segment
@@ -221,7 +222,7 @@ class SlidingHistogram:
         first_point, stride = self.window_size, self.stride
         while boundary <= new_end:
             self.end = boundary
-            self._ring.append(self._close_segment(boundary - g, boundary))
+            self._close_segment(boundary - g, boundary)
             if (
                 boundary >= first_point
                 and (boundary - first_point) % stride == 0
@@ -235,10 +236,27 @@ class SlidingHistogram:
         while len(pieces) > 1 and pieces[0].last <= horizon:
             pieces.popleft()
 
-    def _close_segment(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def _close_segment(self, lo: int, hi: int) -> None:
         histogram = self._bincount(lo, hi)
         present = np.flatnonzero(histogram)
-        return present, histogram[present].astype(np.float64, copy=False)
+        n = len(present)
+        slot = self._entries - self._base
+        if slot + n > len(self._ids):
+            # Out of room: move the retained segments to the front of a
+            # buffer twice their size, so each entry moves O(1) times.
+            keep = self._starts[0] - self._base if self._starts else slot
+            size = 2 * (slot - keep + n)
+            ids = np.empty(size, dtype=np.intp)
+            values = np.empty(size, dtype=np.float64)
+            ids[:slot - keep] = self._ids[keep:slot]
+            values[:slot - keep] = self._values[keep:slot]
+            self._ids, self._values = ids, values
+            self._base += keep
+            slot -= keep
+        self._ids[slot:slot + n] = present
+        self._values[slot:slot + n] = histogram[present]
+        self._starts.append(self._entries)
+        self._entries += n
 
     # -- histograms -----------------------------------------------------------
 
@@ -254,8 +272,7 @@ class SlidingHistogram:
             a = piece.lo + max(lo, piece.first) - piece.first
             b = piece.lo + min(hi, piece.last) - piece.first
             r0, r1 = piece.offsets[a], piece.offsets[b]
-            rows = piece.ids[r0:r1]
-            ids.append(np.array(rows, dtype=np.intp) if isinstance(rows, list) else rows)
+            ids.append(np.asarray(piece.ids[r0:r1], dtype=np.intp))
             weights.append(
                 None if piece.weights is None
                 else np.asarray(piece.weights[r0:r1], dtype=np.float64)
@@ -273,19 +290,18 @@ class SlidingHistogram:
         """Credit totals per id over stream blocks ``[lo, hi)``; integer
         counts when no retained row carries a weight."""
         ids, weights = self._rows(lo, hi)
-        return np.bincount(ids, weights=weights, minlength=self.width)
+        return np.bincount(ids, weights=weights)
 
     def window_histogram(self) -> np.ndarray:
         """Per-id credit totals of the window ending at the last closed segment.
 
         At an evaluation point that is the window being evaluated.
         """
-        ring = self._ring
-        if not ring:
-            return np.zeros(self.width)
-        ids = np.concatenate([segment[0] for segment in ring])
-        values = np.concatenate([segment[1] for segment in ring])
-        return np.bincount(ids, weights=values, minlength=self.width)
+        if not self._starts:
+            return np.zeros(0)
+        lo = self._starts[0] - self._base
+        hi = self._entries - self._base
+        return np.bincount(self._ids[lo:hi], weights=self._values[lo:hi])
 
     def trailing_histogram(self) -> np.ndarray:
         """Per-id credit totals of the last ``window_size`` blocks (or fewer).
@@ -301,9 +317,11 @@ class StreamingMonitor:
 
     A monitor ingests either producer names (:meth:`push`) or ranges of a
     chain's integer id columns (:meth:`push_range`), not both.  Names are
-    interned into slots of the kernel's own id column; a slot is recycled
-    as soon as its producer has left the window, so memory stays bounded
-    by the producers active in the window, not by those ever seen.
+    interned into slots of the kernel's own id column, which is the only
+    record of the trailing blocks: the slots of the block leaving the
+    window are read back from it, and a slot is recycled as soon as its
+    producer has left the window, so memory stays bounded by the
+    producers active in the window, not by those ever seen.
     """
 
     def __init__(
@@ -338,8 +356,6 @@ class StreamingMonitor:
         #: Per-slot credit count over the trailing window.
         self._credits: list[int] = []
         self._free: list[int] = []
-        #: Slots of each block in the trailing window, oldest first.
-        self._recent: deque[list[int]] = deque()
 
     # -- configuration -------------------------------------------------------
 
@@ -373,12 +389,12 @@ class StreamingMonitor:
             raise MeasurementError("a block needs at least one producer")
         if self._source != "names":
             self._bind("names")
-        recent = self._recent
-        if len(recent) == self.window_size:
+        kernel = self._kernel
+        if kernel.end >= self.window_size:
             # The oldest block leaves before the new one is interned, so a
             # freed slot can be reused at once and the table never holds
             # more than window_size x producers-per-block slots.
-            self._release(recent.popleft())
+            self._release(kernel.block_ids(kernel.end - self.window_size))
         slot_of, credits = self._slot_of, self._credits
         slots = []
         for name in producers:
@@ -387,8 +403,7 @@ class StreamingMonitor:
                 slot = self._intern(name)
             credits[slot] += 1
             slots.append(slot)
-        recent.append(slots)
-        self._kernel.append(slots, 1.0 / len(slots) if fractional else None)
+        kernel.append(slots, 1.0 / len(slots) if fractional else 1.0)
         return self._take_alerts()
 
     def push_range(self, blocks: BlockRange) -> list[Alert]:
@@ -413,11 +428,10 @@ class StreamingMonitor:
             slot = len(self._names)
             self._names.append(name)
             self._credits.append(0)
-            self._kernel.width = slot + 1
         self._slot_of[name] = slot
         return slot
 
-    def _release(self, slots: list[int]) -> None:
+    def _release(self, slots: Sequence[int]) -> None:
         credits = self._credits
         for slot in slots:
             credits[slot] -= 1

@@ -264,11 +264,19 @@ def repair_blocks(
             if j + 1 < len(present) and ts > by_height[present[j + 1]].timestamp:
                 suspects.add(height)
 
+        # Two corrupted rows can sit next to each other once the rows
+        # between them are missing, and then neither flags the other; so a
+        # row is also recovered when it regresses below the repaired row
+        # before it.
         repaired: list[RawBlock] = []
         previous: RawBlock | None = None
         for height in expected_heights:
             block = by_height.get(height)
-            if block is None or height in suspects:
+            if (
+                block is None
+                or height in suspects
+                or (previous is not None and block.timestamp < previous.timestamp)
+            ):
                 block = _recover(height, previous, policy, refetch, report)
                 if block is None:
                     continue

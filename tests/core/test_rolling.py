@@ -27,7 +27,6 @@ class TestRollingHistogram:
 
     def test_counts_before_capacity(self):
         kernel = SlidingHistogram(10, 5)
-        kernel.width = 3
         for block in ([0], [1], [0], [2]):
             kernel.append(block)
         assert kernel.end == 4
@@ -35,7 +34,6 @@ class TestRollingHistogram:
 
     def test_eviction_removes_oldest_block(self):
         kernel = SlidingHistogram(2, 1)
-        kernel.width = 3
         for block in ([0], [1], [2]):
             kernel.append(block)
         assert kernel.trailing_histogram().tolist() == [0.0, 1.0, 1.0]
@@ -44,7 +42,6 @@ class TestRollingHistogram:
         """A fractional block leaves the window without a float residue:
         windows are rebuilt from rows, never by subtraction."""
         kernel = SlidingHistogram(1, 1)
-        kernel.width = 4
         kernel.append([0, 1, 2], 1.0 / 3.0)
         kernel.append([3])
         assert trailing(kernel) == {3: 1.0}
@@ -56,7 +53,6 @@ class TestRollingHistogram:
 
     def test_multi_producer_blocks(self):
         kernel = SlidingHistogram(3, 1)
-        kernel.width = 2
         kernel.append([0, 1])
         kernel.append([0])
         assert trailing(kernel) == {0: 2.0, 1: 1.0}
@@ -75,7 +71,6 @@ class TestRollingHistogram:
             for _ in range(300)
         ]
         kernel = SlidingHistogram(25, 10)
-        kernel.width = 7
         for block in blocks:
             kernel.append(block)
         reference = Counter(p for block in blocks[-25:] for p in block)

@@ -30,14 +30,23 @@ from repro.metrics import shannon_entropy
 from tests.conftest import make_tiny_chain
 
 
-def windows_of(kernel_args, feed) -> np.ndarray:
-    """Every evaluated window histogram of ``feed`` (a list of extend args)."""
+def windows_of(kernel_args, feed, width: int) -> np.ndarray:
+    """Every evaluated window histogram of ``feed`` (a list of extend args),
+    zero-padded to ``width`` ids.
+
+    A kernel histogram is only as wide as the largest id it holds; the
+    padding lines its rows up with the batch engine's ``n_entities``-wide
+    rows, and adds no addend to any cell.
+    """
     rows = []
     kernel = SlidingHistogram(*kernel_args, on_window=lambda _: rows.append(
         kernel.window_histogram()))
     for args in feed:
         kernel.extend(*args)
-    return np.stack(rows) if rows else np.zeros((0, kernel.width))
+    padded = np.zeros((len(rows), width))
+    for padded_row, row in zip(padded, rows):
+        padded_row[:len(row)] = row
+    return padded
 
 
 class TestNamesAdapter:
@@ -93,11 +102,10 @@ class TestAgainstBatch:
         expected = credits.sliding_histograms(size, step)
         columns = (credits.block_offsets, credits.entity_ids)
         feed = [
-            (*columns, lo, min(lo + step, credits.n_blocks), credits.weights,
-             credits.n_entities)
+            (*columns, lo, min(lo + step, credits.n_blocks), credits.weights)
             for lo in range(0, credits.n_blocks, step)
         ]
-        got = windows_of((size, step), feed)
+        got = windows_of((size, step), feed, credits.n_entities)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
@@ -134,7 +142,7 @@ class TestAgainstBatch:
         chain = btc_chain.slice_blocks(0, blocks)
         offsets, ids = chain.offsets, chain.producer_ids
         width = len(chain.producer_names)
-        got = windows_of((size, step), [(offsets, ids, 0, blocks, None, width)])
+        got = windows_of((size, step), [(offsets, ids, 0, blocks)], width)
         starts = range(0, blocks - size + 1, step)
         expected = np.stack([
             np.bincount(ids[offsets[s]:offsets[s + size]], minlength=width).astype(float)
@@ -149,6 +157,33 @@ class TestAgainstBatch:
             series = engine.measure_sliding(metric, size, step)
             values = np.array([value for _, value in monitor.history(metric)])
             np.testing.assert_allclose(values, series.values, rtol=0, atol=1e-12)
+
+    def test_many_segments_per_window(self, btc_chain):
+        """Stride 1 makes every block a segment, so a window sums N/g = 300
+        segments; with fractional credits the sum order shows in the bits.
+        The segment buffer stays within twice the window's entries."""
+        size, step, blocks = 300, 1, 1_500
+        credits = attribute(btc_chain.slice_blocks(0, blocks), "fractional")
+        expected = credits.sliding_histograms(size, step)
+        offsets = credits.block_offsets
+        # Entries of a window plus the segment being added, at most.
+        live = int(np.max(offsets[size + 1:] - offsets[:-size - 1]))
+        rows, capacities = [], []
+
+        def on_window(_):
+            rows.append(kernel.window_histogram())
+            capacities.append(len(kernel._ids))
+
+        kernel = SlidingHistogram(size, step, on_window=on_window)
+        for lo in range(0, blocks, 7):
+            kernel.extend(offsets, credits.entity_ids, lo, min(lo + 7, blocks),
+                          credits.weights)
+        got = np.zeros(expected.shape)
+        for padded_row, row in zip(got, rows):
+            padded_row[:len(row)] = row
+        assert len(rows) == len(expected)
+        assert got.tobytes() == expected.tobytes()
+        assert max(capacities) <= 2 * live < len(credits.entity_ids)
 
 
 @st.composite
@@ -172,16 +207,16 @@ class TestChunking:
         size, step = window
         offsets, ids = chain.offsets, chain.producer_ids
         width = len(chain.producer_names)
-        whole = windows_of((size, step), [(offsets, ids, 0, chain.n_blocks, None, width)])
+        whole = windows_of((size, step), [(offsets, ids, 0, chain.n_blocks)], width)
         feed, lo = [], 0
         for cut in cuts:
             if lo >= chain.n_blocks:
                 break
-            feed.append((offsets, ids, lo, min(lo + cut, chain.n_blocks), None, width))
+            feed.append((offsets, ids, lo, min(lo + cut, chain.n_blocks)))
             lo += cut
         if lo < chain.n_blocks:
-            feed.append((offsets, ids, lo, chain.n_blocks, None, width))
-        chunked = windows_of((size, step), feed)
+            feed.append((offsets, ids, lo, chain.n_blocks))
+        chunked = windows_of((size, step), feed, width)
         assert chunked.tobytes() == whole.tobytes()
         if size % step == 0 and size <= chain.n_blocks:
             credits = attribute(chain, "per-address")

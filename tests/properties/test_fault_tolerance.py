@@ -9,7 +9,7 @@ on the calibrated chains).
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.pools import PoolInfo, PoolRegistry
@@ -55,6 +55,8 @@ CLEAN = fetch_chain(SOURCE, page_size=16)
     seed=st.integers(min_value=0, max_value=100_000),
     rate=st.floats(min_value=0.02, max_value=0.25),
 )
+# Two timestamp-regressed rows left adjacent by a truncated page.
+@example(seed=374, rate=0.1875)
 def test_any_fault_schedule_recovers_byte_identical_series(seed, rate):
     injector = FaultInjector(FaultPlan.default(rate=rate), seed=seed)
     faulted = fetch_chain(

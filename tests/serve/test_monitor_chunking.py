@@ -78,16 +78,15 @@ def replay(chain, items, size, step):
 
 
 def ranges(chain, sizes):
-    width = len(chain.producer_names)
     lo = 0
     for size in sizes:
         if lo >= chain.n_blocks:
             return
         yield BlockRange(chain.offsets, chain.producer_ids, lo,
-                         min(lo + size, chain.n_blocks), width=width)
+                         min(lo + size, chain.n_blocks))
         lo += size
     if lo < chain.n_blocks:
-        yield BlockRange(chain.offsets, chain.producer_ids, lo, chain.n_blocks, width=width)
+        yield BlockRange(chain.offsets, chain.producer_ids, lo, chain.n_blocks)
 
 
 @given(
