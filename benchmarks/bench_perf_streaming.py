@@ -9,7 +9,9 @@ replays a chain, as one stride of integer id columns per push.
 
 import numpy as np
 
-from repro.core.streaming import BlockRange, StreamingMonitor, ThresholdRule
+from repro.core.streaming import BlockRange, StreamingMonitor
+from repro.obs.alerts import AlertManager, AlertRule
+from repro.obs.metrics import MetricsRegistry
 
 
 def make_feed(n_blocks: int, n_producers: int, seed: int) -> list[list[str]]:
@@ -25,10 +27,14 @@ def test_perf_streaming_bitcoin_scale(benchmark):
 
     def run():
         monitor = StreamingMonitor(window_size=144, stride=72)
-        monitor.add_rule(ThresholdRule("nakamoto", below=3))
-        return monitor.push_many(feed)
+        manager = AlertManager(registry=MetricsRegistry())
+        manager.add_rule(AlertRule("nakamoto-below-3", metric="nakamoto", below=3))
+        monitor.push_many(feed)
+        for _, latest in monitor.evaluations_since(0):
+            manager.evaluate(latest)
+        return monitor
 
-    benchmark(run)
+    assert benchmark(run).evaluations == 26  # blocks 144, 216, ..., 1944
 
 
 def test_perf_streaming_ethereum_scale(benchmark):
@@ -38,10 +44,10 @@ def test_perf_streaming_ethereum_scale(benchmark):
         monitor = StreamingMonitor(
             window_size=6_000, stride=3_000, metrics=("gini", "entropy")
         )
-        return monitor.push_many(feed)
+        monitor.push_many(feed)
+        return monitor
 
-    result = benchmark(run)
-    assert result == []  # quiet feed, no rules
+    assert benchmark(run).evaluations == 3  # blocks 6,000, 9,000 and 12,000
 
 
 def make_columns(n_blocks: int, n_producers: int, seed: int):
@@ -61,13 +67,11 @@ def test_perf_streaming_ethereum_scale_ranges(benchmark):
         monitor = StreamingMonitor(
             window_size=6_000, stride=stride, metrics=("gini", "entropy")
         )
-        alerts = []
         for start in range(0, ids.shape[0], stride):
-            alerts.extend(monitor.push_range(BlockRange(offsets, ids, start, start + stride)))
-        return monitor, alerts
+            monitor.push_range(BlockRange(offsets, ids, start, start + stride))
+        return monitor
 
-    monitor, alerts = benchmark(run)
-    assert alerts == []
+    monitor = benchmark(run)
     names = StreamingMonitor(window_size=6_000, stride=stride, metrics=("gini", "entropy"))
     names.push_many(make_feed(12_000, 70, seed=2))
     # Same blocks by name and by id: the window distributions agree.

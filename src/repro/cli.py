@@ -321,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument(
         "--alert-below", action="append", default=[], metavar="METRIC=VALUE",
         help="alert when METRIC drops below VALUE (repeatable; also "
-        "accepts the progress metrics lag_blocks/blocks_ingested, which "
-        "alert through the stateful engine only)",
+        "accepts the progress metrics lag_blocks/blocks_ingested)",
     )
     monitor.add_argument(
         "--alert-above", action="append", default=[], metavar="METRIC=VALUE",
@@ -858,24 +857,53 @@ def _cmd_analyze(study: DecentralizationStudy, args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_alert_specs(
-    specs: Sequence[str], kind: str
-) -> list[tuple[str, float]] | None:
-    """Parse repeated ``METRIC=VALUE`` flags; None means a spec was bad."""
-    parsed: list[tuple[str, float]] = []
-    for spec in specs:
-        metric, _, value_text = spec.partition("=")
-        try:
-            value = float(value_text)
-        except ValueError:
-            print(
-                f"error: bad --alert-{kind} spec {spec!r} "
-                "(expected METRIC=VALUE)",
-                file=sys.stderr,
-            )
+def _monitor_alert_rules(args: argparse.Namespace) -> list | None:
+    """Compile ``--alert-below/--alert-above/--anomaly`` into alert rules.
+
+    A threshold rule is named ``METRIC-below|above-VALUE`` with VALUE
+    from :func:`~repro.obs.alerts.format_threshold`, so distinct
+    thresholds never share a name.  Returns None after reporting a bad,
+    non-finite, unknown or repeated spec.
+    """
+    import math
+
+    from repro.obs.alerts import AlertRule, anomaly_rule, format_threshold
+    from repro.serve.monitor import PROGRESS_METRICS
+
+    monitored = ("gini", "entropy", "nakamoto")
+    rules = []
+    for kind, specs in (("below", args.alert_below), ("above", args.alert_above)):
+        for spec in specs:
+            metric, _, value_text = spec.partition("=")
+            try:
+                value = float(value_text)
+            except ValueError:
+                print(
+                    f"error: bad --alert-{kind} spec {spec!r} "
+                    "(expected METRIC=VALUE)",
+                    file=sys.stderr,
+                )
+                return None
+            if not math.isfinite(value):
+                print(f"error: --alert-{kind} {spec!r}: VALUE must be finite",
+                      file=sys.stderr)
+                return None
+            if metric not in monitored + PROGRESS_METRICS:
+                print(f"error: unknown alert metric {metric!r}", file=sys.stderr)
+                return None
+            name = f"{metric}-{kind}-{format_threshold(value)}"
+            rules.append(AlertRule(name, metric=metric, **{kind: value}))
+    for metric in args.anomaly:
+        if metric not in monitored:
+            print(f"error: unknown --anomaly metric {metric!r}", file=sys.stderr)
             return None
-        parsed.append((metric, value))
-    return parsed
+        rules.append(anomaly_rule(f"anomaly:{metric}", metric))
+    names = [rule.name for rule in rules]
+    for name in names:
+        if names.count(name) > 1:
+            print(f"error: alert rule {name!r} given more than once", file=sys.stderr)
+            return None
+    return rules
 
 
 def _faulted_ingest(source, spec: str, seed: int, repair_policy: str = "refetch"):
@@ -1014,9 +1042,8 @@ def _block_feed(chain, limit: int | None, step: int) -> Iterator:
 
 
 def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
-    from repro.core.streaming import ThresholdRule
     from repro.errors import ValidationError
-    from repro.obs.alerts import AlertRule, JSONLSink, WebhookSink
+    from repro.obs.alerts import JSONLSink, WebhookSink
     from repro.obs.slo import load_slo_file
     from repro.serve import run_monitor
 
@@ -1081,40 +1108,9 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
 
         # A bad spec raises FaultSpecError -> exit 2 in main().
         injector = FaultInjector(parse_fault_spec(args.inject_faults), seed=args.seed)
-    below = _parse_alert_specs(args.alert_below, "below")
-    above = _parse_alert_specs(args.alert_above, "above")
-    if below is None or above is None:
+    alert_rules = _monitor_alert_rules(args)
+    if alert_rules is None:
         return 2
-    monitored = ("gini", "entropy", "nakamoto")
-    # Progress metrics exist only in the stateful engine's value map, not
-    # in the streaming monitor's window evaluations.
-    progress = ("lag_blocks", "blocks_ingested")
-    rules = []
-    extra_alert_rules = []
-    for metric, value in below:
-        if metric in monitored:
-            rules.append(ThresholdRule(metric, below=value))
-        elif metric in progress:
-            extra_alert_rules.append(
-                AlertRule(f"{metric}-below-{value:g}", metric=metric, below=value)
-            )
-        else:
-            print(f"error: unknown alert metric {metric!r}", file=sys.stderr)
-            return 2
-    for metric, value in above:
-        if metric in monitored:
-            rules.append(ThresholdRule(metric, above=value))
-        elif metric in progress:
-            extra_alert_rules.append(
-                AlertRule(f"{metric}-above-{value:g}", metric=metric, above=value)
-            )
-        else:
-            print(f"error: unknown alert metric {metric!r}", file=sys.stderr)
-            return 2
-    for metric in args.anomaly:
-        if metric not in monitored:
-            print(f"error: unknown --anomaly metric {metric!r}", file=sys.stderr)
-            return 2
     slos = []
     if args.slo:
         try:
@@ -1169,7 +1165,7 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             args.window,
             args.stride,
             chain=chain.spec.name,
-            rules=rules,
+            alert_rules=alert_rules,
             total_blocks=total,
             serve_port=args.serve,
             throttle=args.throttle,
@@ -1181,8 +1177,6 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             injector=injector,
             slos=slos,
             alert_sinks=alert_sinks,
-            anomaly_metrics=args.anomaly,
-            extra_alert_rules=extra_alert_rules,
             overload=overload,
             ingest_queue=args.ingest_queue,
             ingest_policy=args.ingest_policy,
@@ -1196,14 +1190,10 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
     restarts = f", {result.restarts} restart(s)" if result.restarts else ""
     if result.ingest_dropped:
         restarts += f", {result.ingest_dropped} block(s) dropped by ingest queue"
-    lifecycle = (
-        f", {result.alerts_fired} fired/{result.alerts_resolved} resolved"
-        if result.alerts_fired or result.alerts_resolved
-        else ""
-    )
+    resolved = f", {result.alerts_resolved} resolved" if result.alerts_resolved else ""
     print(
         f"monitored {result.blocks} blocks: {result.evaluations} evaluations, "
-        f"{result.alerts} alerts{lifecycle}{restarts}"
+        f"{result.alerts_fired} alerts{resolved}{restarts}"
     )
     if latest:
         print(f"latest: {latest}")

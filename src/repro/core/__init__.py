@@ -18,24 +18,16 @@ from repro.core.comparison import (
 )
 from repro.core.engine import MeasurementEngine
 from repro.core.series import MeasurementSeries
-from repro.core.streaming import (
-    Alert,
-    BlockRange,
-    SlidingHistogram,
-    StreamingMonitor,
-    ThresholdRule,
-)
+from repro.core.streaming import BlockRange, SlidingHistogram, StreamingMonitor
 from repro.core.summary import SeriesSummary, summarize
 from repro.core.trend import detrend, linear_trend, rolling_mean, rolling_std
 
 __all__ = [
-    "Alert",
     "AnomalyReport",
     "BlockRange",
     "ChangePoint",
     "SlidingHistogram",
     "StreamingMonitor",
-    "ThresholdRule",
     "ChangePointReport",
     "MeasurementEngine",
     "cusum_changepoints",

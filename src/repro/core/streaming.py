@@ -4,8 +4,10 @@ The paper motivates sliding windows with timeliness: discovering abnormal
 changes as they happen, not at the end of a calendar interval.  This
 module is that deployment story.  A :class:`StreamingMonitor` ingests
 blocks, recomputes the metrics every ``stride`` blocks — the sliding
-step M — over the trailing ``window_size`` blocks — the window N — and
-fires alerts when a metric crosses a configured threshold.
+step M — over the trailing ``window_size`` blocks — the window N.  It
+only measures: alert rules over its values belong to
+:class:`~repro.obs.alerts.AlertManager`, which
+:func:`~repro.serve.monitor.run_monitor` evaluates once per window.
 
 Blocks arrive either one at a time as producer names
 (:meth:`StreamingMonitor.push`) or as ranges over a chain's integer
@@ -15,18 +17,16 @@ window from per-segment histograms exactly the way the batch engine's
 ``Credits.sliding_histograms`` does, so streaming and batch values agree
 bit for bit.
 
->>> monitor = StreamingMonitor(window_size=144, stride=72)
->>> monitor.add_rule(ThresholdRule("nakamoto", below=4))       # doctest: +SKIP
->>> for block in feed:                                         # doctest: +SKIP
-...     for alert in monitor.push(block.producers):
-...         page_operator(alert)
+>>> monitor = StreamingMonitor(window_size=4, stride=2, metrics=("nakamoto",))
+>>> for producers in (["a"], ["b"], ["a"], ["a"], ["c"], ["a"]):
+...     monitor.push(producers)
+>>> monitor.history("nakamoto")
+[(4, 1.0), (6, 1.0)]
 """
 
 from __future__ import annotations
 
-import logging
 from collections import deque
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,46 +36,9 @@ from repro import obs
 from repro.errors import MeasurementError
 from repro.metrics.base import DistributionBatch, Metric, compute_batch, get_metric
 
-logger = logging.getLogger(__name__)
-
 #: Blocks per chunk of the kernel's own id column; a full chunk is left
 #: for trimming and a new one started, so no retained row is ever moved.
 _OWN_CHUNK_BLOCKS = 4096
-
-
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Fire when a metric goes below ``below`` and/or above ``above``."""
-
-    metric: str
-    below: float | None = None
-    above: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.below is None and self.above is None:
-            raise MeasurementError("a rule needs at least one of below/above")
-
-    def triggered(self, value: float) -> bool:
-        """True if ``value`` crosses either configured bound."""
-        if self.below is not None and value < self.below:
-            return True
-        if self.above is not None and value > self.above:
-            return True
-        return False
-
-
-@dataclass(frozen=True)
-class Alert:
-    """One rule firing at one evaluation point."""
-
-    metric: str
-    value: float
-    #: Total blocks pushed when the alert fired.
-    block_count: int
-    rule: ThresholdRule
-
-    def __str__(self) -> str:
-        return f"block {self.block_count}: {self.metric}={self.value:.4f}"
 
 
 class BlockRange(NamedTuple):
@@ -313,7 +276,7 @@ class SlidingHistogram:
 
 
 class StreamingMonitor:
-    """Incremental sliding-window measurement with threshold alerts.
+    """Incremental sliding-window measurement.
 
     A monitor ingests either producer names (:meth:`push`) or ranges of a
     chain's integer id columns (:meth:`push_range`), not both.  Names are
@@ -343,11 +306,9 @@ class StreamingMonitor:
             for metric in metrics
         ]
         self._kernel = SlidingHistogram(window_size, stride, on_window=self._evaluate)
-        self._rules: list[ThresholdRule] = []
         self._history: dict[str, list[tuple[int, float]]] = {
             metric.name: [] for metric in self._metrics
         }
-        self._alerts: list[Alert] = []
         #: "names" or "ranges", fixed by the first block ingested.
         self._source: str | None = None
         # Names adapter: producer name -> slot in the kernel's id column.
@@ -356,17 +317,6 @@ class StreamingMonitor:
         #: Per-slot credit count over the trailing window.
         self._credits: list[int] = []
         self._free: list[int] = []
-
-    # -- configuration -------------------------------------------------------
-
-    def add_rule(self, rule: ThresholdRule) -> None:
-        """Register an alert rule; its metric must be monitored."""
-        if rule.metric not in self._history:
-            raise MeasurementError(
-                f"rule metric {rule.metric!r} is not monitored; "
-                f"monitored: {sorted(self._history)}"
-            )
-        self._rules.append(rule)
 
     # -- ingestion --------------------------------------------------------------
 
@@ -378,8 +328,8 @@ class StreamingMonitor:
                 "a monitor ingests producer names or column ranges, not both"
             )
 
-    def push(self, producers: Sequence[str], fractional: bool = False) -> list[Alert]:
-        """Ingest one block; returns any alerts fired by this push.
+    def push(self, producers: Sequence[str], fractional: bool = False) -> None:
+        """Ingest one block.
 
         ``producers`` are the block's payout addresses (usually one).
         With ``fractional`` each address gets ``1/k`` credit, otherwise
@@ -404,21 +354,17 @@ class StreamingMonitor:
             credits[slot] += 1
             slots.append(slot)
         kernel.append(slots, 1.0 / len(slots) if fractional else 1.0)
-        return self._take_alerts()
 
-    def push_range(self, blocks: BlockRange) -> list[Alert]:
-        """Ingest a range of blocks; returns the alerts of every evaluation in it."""
+    def push_range(self, blocks: BlockRange) -> None:
+        """Ingest a range of blocks."""
         if self._source != "ranges":
             self._bind("ranges")
         self._kernel.extend(*blocks)
-        return self._take_alerts()
 
-    def push_many(self, blocks: Sequence[Sequence[str]]) -> list[Alert]:
-        """Ingest a batch of blocks; returns all alerts fired."""
-        alerts: list[Alert] = []
+    def push_many(self, blocks: Sequence[Sequence[str]]) -> None:
+        """Ingest a batch of blocks, one :meth:`push` each."""
         for producers in blocks:
-            alerts.extend(self.push(producers))
-        return alerts
+            self.push(producers)
 
     def _intern(self, name: str) -> int:
         if self._free:
@@ -439,43 +385,16 @@ class StreamingMonitor:
                 del self._slot_of[self._names[slot]]
                 self._free.append(slot)
 
-    def _take_alerts(self) -> list[Alert]:
-        alerts = self._alerts
-        if not alerts:
-            return []
-        self._alerts = []
-        return alerts
-
     def _evaluate(self, block_count: int) -> None:
         # One-row batch so every monitored metric shares a single sort of
         # the window's distribution.
         with obs.span("streaming.evaluate", block_count=block_count):
             window = self._kernel.window_histogram()
             batch = DistributionBatch(window[window > 0][np.newaxis, :])
-            alerts: list[Alert] = []
             for metric in self._metrics:
                 value = float(compute_batch(metric, batch)[0])
                 self._history[metric.name].append((block_count, value))
-                for rule in self._rules:
-                    if rule.metric == metric.name and rule.triggered(value):
-                        alerts.append(
-                            Alert(
-                                metric=metric.name,
-                                value=value,
-                                block_count=block_count,
-                                rule=rule,
-                            )
-                        )
         obs.counter("streaming.evaluations")
-        if alerts:
-            obs.counter("streaming.alerts", len(alerts))
-            for alert in alerts:
-                logger.warning(
-                    "threshold alert: %s=%.4f at block %d (below=%s above=%s)",
-                    alert.metric, alert.value, alert.block_count,
-                    alert.rule.below, alert.rule.above,
-                )
-            self._alerts.extend(alerts)
 
     # -- inspection -----------------------------------------------------------------
 

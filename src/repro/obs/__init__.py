@@ -53,7 +53,6 @@ from repro.obs.alerts import (
     WebhookSink,
     anomaly_rule,
     format_alert_event,
-    rules_from_thresholds,
 )
 from repro.obs.export import (
     load_trace_file,
@@ -151,7 +150,6 @@ __all__ = [
     "profiled",
     "profiling_enabled",
     "render_prometheus",
-    "rules_from_thresholds",
     "sanitize_metric_name",
     "span",
     "summarize_trace_file",

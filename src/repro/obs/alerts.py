@@ -1,9 +1,9 @@
 """Stateful alerting: pending → firing → resolved, with pluggable sinks.
 
-The streaming monitor's original threshold alerts were stateless — every
-evaluation that crossed a bound printed a line, so a metric hovering at a
-threshold paged on every window.  This module is the stateful engine the
-paper's "watch decentralization live" story needs:
+This module is the one alert engine of the paper's "watch
+decentralization live" story: a rule pages once when its condition
+starts to hold and once when it clears, not on every window a metric
+spends past a threshold.
 
 * :class:`AlertRule` — a named condition over the latest metric values
   (``below``/``above`` thresholds with a hysteresis band, or an arbitrary
@@ -45,6 +45,18 @@ RESOLVED = "resolved"
 
 #: Events kept in the manager's in-memory history ring.
 _HISTORY_CAP = 512
+
+
+def format_threshold(value: float) -> str:
+    """``value`` as its round-trip ``repr``, less a trailing ``.0``.
+
+    Distinct thresholds never format alike, where ``{value:g}`` would
+    print both of these as ``0.6``:
+
+    >>> format_threshold(0.6), format_threshold(0.6000001), format_threshold(4)
+    ('0.6', '0.6000001', '4')
+    """
+    return repr(float(value)).removesuffix(".0")
 
 
 @dataclass(frozen=True)
@@ -124,9 +136,9 @@ class AlertRule:
             return f"{self.name}: value={value:.4g}"
         parts = []
         if self.below is not None:
-            parts.append(f"below {self.below:g}")
+            parts.append(f"below {format_threshold(self.below)}")
         if self.above is not None:
-            parts.append(f"above {self.above:g}")
+            parts.append(f"above {format_threshold(self.above)}")
         return f"{self.metric}={value:.4f} ({' or '.join(parts)})"
 
 
@@ -448,30 +460,6 @@ class AlertManager:
                 "fired_total": self.fired_total,
                 "resolved_total": self.resolved_total,
             }
-
-
-def rules_from_thresholds(
-    below: Sequence[tuple[str, float]] = (),
-    above: Sequence[tuple[str, float]] = (),
-    for_duration: float = 0.0,
-    keep_for: float = 0.0,
-) -> list[AlertRule]:
-    """Compile the CLI's stateless ``--alert-below/--alert-above`` specs.
-
-    Each ``(metric, value)`` pair becomes one stateful rule on the
-    manager, so the legacy flags gain the full lifecycle for free.
-    """
-    rules = [
-        AlertRule(f"{metric}-below-{value:g}", metric=metric, below=value,
-                  for_duration=for_duration, keep_for=keep_for)
-        for metric, value in below
-    ]
-    rules += [
-        AlertRule(f"{metric}-above-{value:g}", metric=metric, above=value,
-                  for_duration=for_duration, keep_for=keep_for)
-        for metric, value in above
-    ]
-    return rules
 
 
 class AnomalyDetector:

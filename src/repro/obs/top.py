@@ -127,7 +127,8 @@ def render_dashboard(
     if lag is not None:
         ingest += f" lag={lag}"
     ingest += f" evaluations={status.get('evaluations', 0)}"
-    ingest += f" alerts={status.get('alerts', 0)}"
+    alerting = status.get("alerting") or {}
+    ingest += f" alerts={alerting.get('fired_total', 0)}"
     if rate is not None:
         ingest += f" throughput={rate:.1f} blocks/s"
     lines.append(ingest)
@@ -178,7 +179,6 @@ def render_dashboard(
         for name, art in drawn:
             lines.append(f"history   {name:<10s} {art}")
 
-    alerting = status.get("alerting") or {}
     if alerting.get("rules"):
         lines.append("")
         lines.append(

@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro import obs
-from repro.core.streaming import Alert, BlockRange, StreamingMonitor, ThresholdRule
-from repro.errors import ResilienceError
+from repro.core.streaming import BlockRange, StreamingMonitor
+from repro.errors import ResilienceError, ValidationError
 from repro.obs.alerts import (
     AlertManager,
+    AlertRule,
     AlertSink,
     LogSink,
-    anomaly_rule,
     format_alert_event,
-    rules_from_thresholds,
 )
 from repro.obs.slo import SLO, SLOEngine
 from repro.obs.timeseries import TimeSeriesStore
@@ -39,6 +38,10 @@ from repro.serve.state import MonitorState
 
 logger = logging.getLogger(__name__)
 
+#: Values the alert engine sees besides the monitored metrics: ingest
+#: progress, as of the evaluation (``lag_blocks`` needs ``total_blocks``).
+PROGRESS_METRICS = ("blocks_ingested", "lag_blocks")
+
 
 @dataclass(frozen=True)
 class MonitorRun:
@@ -46,7 +49,6 @@ class MonitorRun:
 
     blocks: int
     evaluations: int
-    alerts: int
     latest: dict[str, float] = field(default_factory=dict)
     port: int | None = None
     restarts: int = 0
@@ -61,7 +63,7 @@ def run_monitor(
     stride: int | None = None,
     *,
     chain: str = "unknown",
-    rules: Sequence[ThresholdRule] = (),
+    alert_rules: Sequence[AlertRule] = (),
     metrics: Sequence[str] = ("gini", "entropy", "nakamoto"),
     total_blocks: int | None = None,
     serve_port: int | None = None,
@@ -77,10 +79,6 @@ def run_monitor(
     history: bool = True,
     slos: Sequence[SLO] = (),
     alert_sinks: Sequence[AlertSink] = (),
-    anomaly_metrics: Sequence[str] = (),
-    extra_alert_rules: Sequence = (),
-    alert_for: float = 0.0,
-    alert_keep_for: float = 0.0,
     overload: OverloadGuard | OverloadConfig | None = None,
     ingest_queue: int | None = None,
     ingest_policy: str = "block",
@@ -92,7 +90,15 @@ def run_monitor(
     Progress gauges, the ``monitor.push_seconds`` timing and their
     history are recorded once per item; every window evaluation inside
     an item is recorded (history, ``/status``, alert engine) exactly as
-    if its blocks had been pushed one at a time.  With
+    if its blocks had been pushed one at a time.
+
+    One :class:`~repro.obs.alerts.AlertManager` evaluates ``alert_rules``
+    once per window evaluation, plus once at feed end with lag settled,
+    over the latest metric values extended with the
+    :data:`PROGRESS_METRICS`; a threshold rule on any other metric is a
+    :class:`~repro.errors.ValidationError`.  Each pending/firing/resolved
+    transition is printed once, with the block count it happened at, and
+    goes to a structured-log sink plus ``alert_sinks``.  With
     ``serve_port`` (0 = ephemeral) a :class:`TelemetryServer` answers
     ``/metrics``, ``/healthz``, ``/readyz`` and ``/status`` concurrently;
     ``port_file`` gets the bound port written to it for scripted scrapers.
@@ -116,19 +122,9 @@ def run_monitor(
     With ``history`` (the default) a :class:`~repro.obs.timeseries.TimeSeriesStore`
     is attached to the registry for the duration of the run — every
     instrument plus each streaming metric (as
-    ``monitor.metric.<chain>.<name>``) records history — and a stateful
-    :class:`~repro.obs.alerts.AlertManager` runs alongside the legacy
-    stateless rules: the same ``rules`` compile into lifecycle rules,
-    ``slos`` add burn-rate rules (:meth:`~repro.obs.slo.SLOEngine.rules`),
-    ``anomaly_metrics`` add EWMA z-score rules, ``extra_alert_rules``
-    attach pre-built :class:`~repro.obs.alerts.AlertRule` objects (the
-    CLI uses this for progress specs like ``lag_blocks``), and
-    ``alert_sinks`` receive every pending/firing/resolved transition (a
-    structured-log sink is always present).  ``alert_for``/``alert_keep_for`` set the
-    compiled threshold rules' fire/resolve dwell times.  The manager
-    evaluates once per window evaluation (plus once at feed end, with
-    lag settled) over the latest metric values extended with
-    ``lag_blocks`` and ``blocks_ingested``.
+    ``monitor.metric.<chain>.<name>``) records history — and ``slos``
+    add burn-rate rules (:meth:`~repro.obs.slo.SLOEngine.rules`) to the
+    manager; SLOs need that history.
 
     ``overload`` attaches the admission/rate-limit/shedding layer to the
     telemetry server (an :class:`~repro.serve.overload.OverloadConfig` is
@@ -140,8 +136,15 @@ def run_monitor(
     depth and drop counts surface in ``/metrics`` and ``/status``.
     """
     monitor = StreamingMonitor(window_size, stride, metrics=metrics)
-    for rule in rules:
-        monitor.add_rule(rule)
+    known = (*monitor.metric_names, *PROGRESS_METRICS)
+    for rule in alert_rules:
+        if rule.metric is not None and rule.metric not in known:
+            raise ValidationError(
+                f"alert rule {rule.name!r} watches {rule.metric!r}; "
+                f"known metrics: {', '.join(known)}"
+            )
+    if slos and not history:
+        raise ResilienceError("SLO evaluation requires history=True")
     state = MonitorState(chain, monitor.window_size, monitor.stride, total_blocks)
     state.max_restarts = max_restarts
     if quality is not None:
@@ -152,42 +155,27 @@ def run_monitor(
     feed_iter = iter(feed)
     stop_event = stop_event or threading.Event()
     registry = obs.get_tracer().metrics
-    alerts_total = 0
     supervisor: MonitorSupervisor | None = None
     server: TelemetryServer | None = None
     store: TimeSeriesStore | None = None
-    manager: AlertManager | None = None
-    engine: SLOEngine | None = None
+    manager = AlertManager(sinks=[LogSink(), *alert_sinks], registry=registry)
+    for alert_rule in alert_rules:
+        manager.add_rule(alert_rule)
+    state.alerts_fn = manager.summary
     previous_history = registry.history
     if history:
         store = TimeSeriesStore()
-        registry.set_history(store)
-        manager = AlertManager(sinks=[LogSink(), *alert_sinks], registry=registry)
-        for alert_rule in rules_from_thresholds(
-            below=[(r.metric, r.below) for r in rules if r.below is not None],
-            above=[(r.metric, r.above) for r in rules if r.above is not None],
-            for_duration=alert_for,
-            keep_for=alert_keep_for,
-        ):
-            manager.add_rule(alert_rule)
-        for metric in anomaly_metrics:
-            manager.add_rule(anomaly_rule(f"anomaly:{metric}", metric))
-        for alert_rule in extra_alert_rules:
-            manager.add_rule(alert_rule)
         if slos:
             engine = SLOEngine(slos, store)
             for alert_rule in engine.rules():
                 manager.add_rule(alert_rule)
-        state.alerts_fn = manager.summary
+            state.slo_fn = engine.summary
+        registry.set_history(store)
         state.timeseries_fn = store.stats
         state.sparklines_fn = lambda: {
             name: store.tail_values(f"monitor.latest.{name}", 40)
             for name in metrics
         }
-        if engine is not None:
-            state.slo_fn = engine.summary
-    elif slos:
-        raise ResilienceError("SLO evaluation requires history=True")
 
     if isinstance(overload, OverloadConfig):
         overload = OverloadGuard(
@@ -208,15 +196,13 @@ def run_monitor(
         state.ingest_fn = queue.stats
 
     def run_alert_engine(latest: dict[str, float], blocks: int) -> None:
-        """Evaluate the stateful rules over ``latest`` extended with progress."""
-        if manager is None:
-            return
+        """Evaluate the alert rules over ``latest`` extended with progress."""
         values = dict(latest)
         values["blocks_ingested"] = float(blocks)
         if total_blocks is not None:
             values["lag_blocks"] = float(total_blocks - blocks)
         for event in manager.evaluate(values):
-            print_fn(format_alert_event(event.as_dict()))
+            print_fn(f"{format_alert_event(event.as_dict())} at block {blocks}")
 
     if serve_port is not None:
         server = TelemetryServer(
@@ -265,9 +251,9 @@ def run_monitor(
             evaluated = monitor.evaluations
             start = time.perf_counter()
             if isinstance(item, BlockRange):
-                alerts = monitor.push_range(item)
+                monitor.push_range(item)
             else:
-                alerts = monitor.push(item)
+                monitor.push(item)
             push_timing.observe(time.perf_counter() - start)
             blocks = monitor.blocks_seen
             blocks_gauge.set(blocks)
@@ -276,25 +262,18 @@ def run_monitor(
                 lag_gauge.set(total_blocks - blocks)
             if monitor.evaluations != evaluated:
                 for count, latest in monitor.evaluations_since(evaluated):
-                    fired = [a for a in alerts if a.block_count == count]
-                    record_evaluation(count, latest, fired)
+                    record_evaluation(count, latest)
             if throttle > 0.0 and queue is None:
                 stop_event.wait(throttle)
 
-    def record_evaluation(count: int, latest: dict[str, float], fired: list[Alert]) -> None:
+    def record_evaluation(count: int, latest: dict[str, float]) -> None:
         """Record one window evaluation, as if ingest had stopped at ``count``."""
-        nonlocal alerts_total
         for name, value in latest.items():
             registry.gauge(f"monitor.latest.{name}").set(value)
             if store is not None:
                 store.record(f"monitor.metric.{chain}.{name}", value, kind="metric")
-        state.record_evaluation(latest, len(fired))
+        state.record_evaluation(latest)
         run_alert_engine(latest, count)
-        if fired:
-            alerts_total += len(fired)
-            registry.counter("monitor.alerts_total").inc(len(fired))
-            for alert in fired:
-                print_fn(f"ALERT {alert}")
 
     try:
         if queue is not None:
@@ -336,11 +315,10 @@ def run_monitor(
     return MonitorRun(
         blocks=monitor.blocks_seen,
         evaluations=monitor.evaluations,
-        alerts=alerts_total,
         latest=monitor.latest(),
         port=server.port if server is not None else None,
         restarts=supervisor.restarts if supervisor is not None else 0,
-        alerts_fired=manager.fired_total if manager is not None else 0,
-        alerts_resolved=manager.resolved_total if manager is not None else 0,
+        alerts_fired=manager.fired_total,
+        alerts_resolved=manager.resolved_total,
         ingest_dropped=queue.dropped_total if queue is not None else 0,
     )

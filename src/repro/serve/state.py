@@ -39,7 +39,6 @@ class MonitorState:
         self.total_blocks = total_blocks
         self.blocks_ingested = 0
         self.evaluations = 0
-        self.alerts = 0
         self.latest: dict[str, float] = {}
         self.ready = False
         self.finished = False
@@ -67,7 +66,7 @@ class MonitorState:
         with self._lock:
             self.blocks_ingested = blocks_ingested
 
-    def record_evaluation(self, latest: dict[str, float], n_alerts: int) -> None:
+    def record_evaluation(self, latest: dict[str, float]) -> None:
         """Note one completed window evaluation; flips readiness.
 
         A completed evaluation after a crash also proves the restarted
@@ -75,7 +74,6 @@ class MonitorState:
         """
         with self._lock:
             self.evaluations += 1
-            self.alerts += n_alerts
             self.latest = dict(latest)
             self.ready = True
             self.degraded = False
@@ -137,7 +135,6 @@ class MonitorState:
                 "total_blocks": self.total_blocks,
                 "lag_blocks": lag,
                 "evaluations": self.evaluations,
-                "alerts": self.alerts,
                 "latest": dict(self.latest),
                 "ready": self.ready and not self.degraded,
                 "finished": self.finished,

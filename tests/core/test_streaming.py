@@ -3,15 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.core.streaming import Alert, StreamingMonitor, ThresholdRule
-from repro.errors import MeasurementError
+from repro.core.streaming import StreamingMonitor
+from repro.errors import MeasurementError, ValidationError
+from repro.obs.alerts import AlertManager, AlertRule
+from repro.obs.metrics import MetricsRegistry
 
 
 def feed(monitor, producers_sequence):
-    alerts = []
     for producers in producers_sequence:
-        alerts.extend(monitor.push(producers))
-    return alerts
+        monitor.push(producers)
+
+
+def alert_events(monitor, rule, producers_sequence):
+    """Feed blocks, evaluating ``rule`` once per window evaluation the way
+    ``run_monitor`` does; returns ``(block_count, state, value)`` events."""
+    manager = AlertManager(registry=MetricsRegistry())
+    manager.add_rule(rule)
+    events = []
+    for producers in producers_sequence:
+        seen = monitor.evaluations
+        monitor.push(producers)
+        for count, latest in monitor.evaluations_since(seen):
+            events += [(count, e.state, e.value) for e in manager.evaluate(latest)]
+    return events
 
 
 class TestWindowMaintenance:
@@ -85,58 +99,57 @@ class TestEvaluationSchedule:
 class TestAlerts:
     def test_threshold_below_fires(self):
         monitor = StreamingMonitor(window_size=4, stride=1, metrics=("nakamoto",))
-        monitor.add_rule(ThresholdRule("nakamoto", below=2))
-        # One producer dominates the window -> nakamoto = 1 < 2.
-        alerts = feed(monitor, [["a"]] * 4)
-        assert alerts
-        assert all(isinstance(a, Alert) and a.metric == "nakamoto" for a in alerts)
+        rule = AlertRule("nakamoto-below-2", metric="nakamoto", below=2)
+        # One producer dominates every window -> nakamoto = 1 < 2 at blocks
+        # 4, 5 and 6, but a breach that persists fires once.
+        events = alert_events(monitor, rule, [["a"]] * 6)
+        assert events == [(4, "firing", 1.0)]
 
     def test_threshold_above_fires(self):
         monitor = StreamingMonitor(window_size=4, stride=1, metrics=("entropy",))
-        monitor.add_rule(ThresholdRule("entropy", above=1.9))
-        alerts = feed(monitor, [["a"], ["b"], ["c"], ["d"]])  # entropy = 2.0
-        assert len(alerts) == 1
-        assert alerts[0].value == pytest.approx(2.0)
+        rule = AlertRule("entropy-above-1.9", metric="entropy", above=1.9)
+        events = alert_events(monitor, rule, [["a"], ["b"], ["c"], ["d"]])
+        assert [(count, state) for count, state, _ in events] == [(4, "firing")]
+        assert events[0][2] == pytest.approx(2.0)  # entropy of 4 equal shares
 
     def test_quiet_stream_no_alerts(self):
         monitor = StreamingMonitor(window_size=6, stride=2, metrics=("nakamoto",))
-        monitor.add_rule(ThresholdRule("nakamoto", below=2))
-        alerts = feed(monitor, [["a"], ["b"], ["c"]] * 6)
-        assert alerts == []
+        rule = AlertRule("nakamoto-below-2", metric="nakamoto", below=2)
+        assert alert_events(monitor, rule, [["a"], ["b"], ["c"]] * 6) == []
 
     def test_rule_for_unmonitored_metric_rejected(self):
-        monitor = StreamingMonitor(window_size=4, metrics=("gini",))
-        with pytest.raises(MeasurementError):
-            monitor.add_rule(ThresholdRule("nakamoto", below=3))
+        from repro.serve import run_monitor
+
+        with pytest.raises(ValidationError, match="nakamoto"):
+            run_monitor(
+                [["a"]] * 8, 4, metrics=("gini",),
+                alert_rules=[AlertRule("n", metric="nakamoto", below=3)],
+                print_fn=lambda line: None,
+            )
 
     def test_rule_without_bounds_rejected(self):
-        with pytest.raises(MeasurementError):
-            ThresholdRule("gini")
-
-    def test_alert_str(self):
-        alert = Alert("gini", 0.9, 100, ThresholdRule("gini", above=0.8))
-        assert "gini=0.9" in str(alert)
+        with pytest.raises(ValidationError):
+            AlertRule("gini-rule", metric="gini")
 
 
 class TestOnSimulatedChain:
     def test_day14_triggers_streaming_alerts(self, btc_chain):
         """Streaming through January catches the day-14 anomaly."""
         monitor = StreamingMonitor(window_size=144, stride=72, metrics=("entropy",))
-        monitor.add_rule(ThresholdRule("entropy", above=5.0))
+        rule = AlertRule("entropy-above-5", metric="entropy", above=5.0)
         january = btc_chain.slice_by_time(
             int(btc_chain.timestamps[0]), int(btc_chain.timestamps[0]) + 31 * 86_400
         )
-        alerts = []
-        for i in range(january.n_blocks):
-            start, stop = january.offsets[i], january.offsets[i + 1]
-            producers = [
-                january.producer_names[pid]
-                for pid in january.producer_ids[start:stop]
-            ]
-            alerts.extend(monitor.push(producers))
-        assert alerts, "the day-14 multi-coinbase blocks must trip the rule"
-        # Alerts cluster around day 14: blocks ~13*150 to ~15*150.
-        assert any(1_700 <= a.block_count <= 2_400 for a in alerts)
+        blocks = [
+            [january.producer_names[pid] for pid in
+             january.producer_ids[january.offsets[i]:january.offsets[i + 1]]]
+            for i in range(january.n_blocks)
+        ]
+        fired = [count for count, state, _ in alert_events(monitor, rule, blocks)
+                 if state == "firing"]
+        assert fired, "the day-14 multi-coinbase blocks must trip the rule"
+        # An alert fires around day 14: blocks ~13*150 to ~15*150.
+        assert any(1_700 <= count <= 2_400 for count in fired)
 
     def test_current_matches_engine_distribution(self, btc_chain):
         from repro.chain.attribution import attribute

@@ -20,7 +20,6 @@ from repro.obs.alerts import (
     WebhookSink,
     anomaly_rule,
     format_alert_event,
-    rules_from_thresholds,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.retry import ManualClock, RetryPolicy
@@ -230,17 +229,6 @@ class TestSinks:
         )
         events = manager.evaluate({"m": 0.5})  # must not raise
         assert [e.state for e in events] == ["firing"]
-
-
-class TestRulesFromThresholds:
-    def test_compiles_both_directions(self):
-        rules = rules_from_thresholds(
-            below=[("gini", 0.5)], above=[("nakamoto", 10.0)], keep_for=5.0
-        )
-        assert [r.name for r in rules] == ["gini-below-0.5", "nakamoto-above-10"]
-        assert rules[0].below == 0.5
-        assert rules[1].above == 10.0
-        assert all(r.keep_for == 5.0 for r in rules)
 
 
 class TestAnomalyDetector:

@@ -21,7 +21,8 @@ FULL_STATUS = {
     "total_blocks": 4_320,
     "lag_blocks": 2_880,
     "evaluations": 18,
-    "alerts": 1,
+    "alerting": {"rules": 1, "active": [], "firing": 0,
+                 "fired_total": 1, "resolved_total": 1},
     "build": {"version": "1.3.0", "python": "3.12.0"},
     "workers": {
         "cpu_count": 8,

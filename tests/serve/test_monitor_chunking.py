@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.streaming import BlockRange, ThresholdRule
+from repro.core.streaming import BlockRange
 from repro.obs.alerts import AlertRule, AlertSink
 from repro.obs.timeseries import TimeSeriesStore
 from repro.serve import monitor as monitor_module
@@ -67,14 +67,18 @@ def replay(chain, items, size, step):
     run = run_monitor(
         items, size, step,
         chain="tiny",
-        rules=[ThresholdRule("nakamoto", below=3), ThresholdRule("gini", above=0.2)],
+        alert_rules=[
+            AlertRule("nakamoto-below-3", metric="nakamoto", below=3),
+            AlertRule("gini-above-0.2", metric="gini", above=0.2),
+            AlertRule("lag-high", metric="lag_blocks", above=20),
+        ],
         total_blocks=chain.n_blocks,
         print_fn=lines.append,
         alert_sinks=[sink],
-        extra_alert_rules=[AlertRule("lag-high", metric="lag_blocks", above=20)],
     )
-    alert_lines = [line for line in lines if line.startswith("ALERT")]
-    return run, RecordingStore.points, sink.events, alert_lines
+    # Event lines less their wall-clock prefix: state, rule, value, block.
+    event_lines = [line.split(" ", 1)[1] for line in lines]
+    return run, RecordingStore.points, sink.events, event_lines
 
 
 def ranges(chain, sizes):

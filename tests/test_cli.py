@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.analysis.study import DecentralizationStudy
 from repro.cli import build_parser, main
 
 
@@ -274,7 +275,9 @@ class TestMonitorCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "ALERT block " in out
+        assert " FIRING   gini-above-0 " in out
+        assert "(above 0) at block 144\n" in out
+        assert "1 alerts\n" in out
 
     def test_monitor_survives_injected_faults_with_restarts(self, capsys):
         code = main(
@@ -650,7 +653,7 @@ class TestMonitorAlertingFlags:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "1 fired/1 resolved" in out
+        assert "1 alerts, 1 resolved" in out
         assert "FIRING   lag_blocks-above-100" in out
         events = [json.loads(l) for l in log.read_text().splitlines()]
         assert [e["state"] for e in events] == ["firing", "resolved"]
@@ -686,6 +689,59 @@ class TestMonitorAlertingFlags:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_threshold_specs_compile_both_directions(self):
+        from repro.cli import _monitor_alert_rules
+
+        args = build_parser().parse_args(
+            ["monitor", "--chain", "bitcoin", "--alert-below", "gini=0.5",
+             "--alert-above", "nakamoto=10", "--anomaly", "entropy"]
+        )
+        rules = _monitor_alert_rules(args)
+        assert [r.name for r in rules] == [
+            "gini-below-0.5", "nakamoto-above-10", "anomaly:entropy",
+        ]
+        assert (rules[0].metric, rules[0].below, rules[0].above) == ("gini", 0.5, None)
+        assert (rules[1].metric, rules[1].below, rules[1].above) == ("nakamoto", None, 10.0)
+
+    def test_close_thresholds_get_distinct_rules(self, capsys):
+        code = main(
+            ["monitor", "--chain", "bitcoin", "--blocks", "500",
+             "--alert-below", "gini=0.6", "--alert-below", "gini=0.6000001"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert " FIRING   gini-below-0.6 " in out
+        assert " FIRING   gini-below-0.6000001 " in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alert-below", "gini=0.6", "--alert-below", "gini=0.6"],
+            ["--alert-above", "lag_blocks=10", "--alert-above", "lag_blocks=10.0"],
+            ["--anomaly", "gini", "--anomaly", "gini"],
+        ],
+    )
+    def test_repeated_spec_exits_2_before_simulating(self, flags, capsys, monkeypatch):
+        monkeypatch.setattr(
+            DecentralizationStudy, "chain",
+            lambda *a: pytest.fail("chain simulated before flag validation"),
+        )
+        code = main(["monitor", "--chain", "bitcoin", *flags])
+        assert code == 2
+        assert "given more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_2_before_simulating(
+        self, value, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            DecentralizationStudy, "chain",
+            lambda *a: pytest.fail("chain simulated before flag validation"),
+        )
+        code = main(["monitor", "--chain", "bitcoin", "--alert-below", f"gini={value}"])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_unknown_anomaly_metric_exits_2(self, capsys):
         code = main(

@@ -8,6 +8,7 @@ SIGTERM mid-run must still flush ``--trace`` output.
 """
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -21,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.core.streaming import ThresholdRule
 from repro.errors import ResilienceError
+from repro.obs.alerts import AlertRule
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     PROMETHEUS_CONTENT_TYPE,
@@ -71,13 +72,13 @@ class TestMonitorState:
         assert not state.is_ready()
         state.record_push(144)
         assert not state.is_ready()
-        state.record_evaluation({"gini": 0.8}, n_alerts=1)
+        state.record_evaluation({"gini": 0.8})
         assert state.is_ready()
 
     def test_snapshot_reports_window_and_lag(self):
         state = MonitorState("bitcoin", 144, 72, total_blocks=1000)
         state.record_push(200)
-        state.record_evaluation({"gini": 0.8, "nakamoto": 4.0}, n_alerts=0)
+        state.record_evaluation({"gini": 0.8, "nakamoto": 4.0})
         snap = state.snapshot()
         assert snap["window"] == {
             "size": 144, "stride": 72, "start_block": 56, "end_block": 200,
@@ -96,7 +97,7 @@ class TestMonitorState:
     def test_crash_degrades_until_next_evaluation(self):
         state = MonitorState("bitcoin", 10, 5)
         state.record_push(10)
-        state.record_evaluation({"gini": 0.5}, n_alerts=0)
+        state.record_evaluation({"gini": 0.5})
         assert state.is_ready()
         state.record_crash(RuntimeError("boom"))
         assert not state.is_ready()
@@ -107,7 +108,7 @@ class TestMonitorState:
         assert "boom" in snap["resilience"]["last_error"]
         state.record_restart()
         assert not state.is_ready()  # degraded until a window evaluates
-        state.record_evaluation({"gini": 0.5}, n_alerts=0)
+        state.record_evaluation({"gini": 0.5})
         assert state.is_ready()
         assert state.snapshot()["resilience"]["restarts"] == 1
 
@@ -186,16 +187,84 @@ class TestRunMonitor:
             window_size=20,
             stride=10,
             chain="synthetic",
-            rules=[ThresholdRule("entropy", above=1.0)],
+            alert_rules=[AlertRule("entropy-above-1", metric="entropy", above=1.0)],
             total_blocks=100,
             print_fn=lines.append,
         )
         assert result.blocks == 100
         assert result.evaluations == 9  # blocks 20, 30, ..., 100
-        assert result.alerts == 9  # even split: entropy log2(5) > 1 every time
+        # Even split: entropy log2(5) > 1 at every evaluation, one onset.
+        assert (result.alerts_fired, result.alerts_resolved) == (1, 0)
         assert set(result.latest) == {"gini", "entropy", "nakamoto"}
         assert result.port is None
-        assert sum(line.startswith("ALERT") for line in lines) == 9
+        assert len(lines) == 1
+        assert " FIRING   entropy-above-1 " in lines[0]
+        assert lines[0].endswith(" at block 20")
+
+    def test_one_breach_onset_logs_and_prints_once(self):
+        """A breach that lasts many evaluations is one WARNING and one line."""
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro")
+        logger.addHandler(handler)
+        try:
+            lines = []
+            result = run_monitor(
+                [["pool-a"]] * 60, window_size=10, stride=5,
+                alert_rules=[AlertRule("nakamoto-below-2", metric="nakamoto", below=2)],
+                print_fn=lines.append,
+            )
+        finally:
+            logger.removeHandler(handler)
+        assert result.evaluations == 11
+        assert [r.getMessage() for r in records] == [
+            "alert firing: nakamoto-below-2 (nakamoto=1.0000 (below 2))"
+        ]
+        assert len(lines) == 1 and lines[0].endswith(
+            "FIRING   nakamoto-below-2 [warning] nakamoto=1.0000 (below 2) at block 10"
+        )
+
+    def test_history_off_still_alerts_and_serves_alerts(self, tmp_path):
+        """The one alert engine runs without history, and is served."""
+        stop = threading.Event()
+        port_file = tmp_path / "port"
+        lines, results = [], []
+        # One producer for 20 blocks (nakamoto 1), then an even 5-way split.
+        feed = [["pool-a"]] * 20 + [[f"pool-{i % 5}"] for i in range(20)]
+
+        def run():
+            results.append(run_monitor(
+                feed, window_size=10, stride=5, history=False,
+                alert_rules=[AlertRule("nakamoto-below-2", metric="nakamoto", below=2)],
+                serve_port=0, linger=-1.0, port_file=str(port_file),
+                stop_event=stop, print_fn=lines.append,
+            ))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        try:
+            assert wait_until(port_file.exists), "port file never appeared"
+            port = int(port_file.read_text().strip())
+            assert wait_until(
+                lambda: json.loads(http_get(port, "/status")[2])["finished"]
+            )
+            status, _, body = http_get(port, "/api/v1/alerts")
+            series_status = http_get(port, "/api/v1/series")[0]
+        finally:
+            stop.set()
+            thread.join(timeout=30.0)
+        assert status == 200
+        payload = json.loads(body)
+        assert (payload["rules"], payload["fired_total"], payload["resolved_total"]) == (1, 1, 1)
+        assert [e["state"] for e in payload["history"]] == ["firing", "resolved"]
+        assert series_status == 404  # history stays off
+        (result,) = results
+        assert (result.alerts_fired, result.alerts_resolved) == (1, 1)
+        events = [line for line in lines if " at block " in line]
+        assert [line.split()[1] for line in events] == ["FIRING", "RESOLVED"]
+        assert events[0].endswith(" at block 10")
+        assert events[1].endswith(" at block 25")
 
     def test_registry_gauges_track_progress(self):
         run_monitor(
@@ -502,8 +571,6 @@ class TestConcurrentScrapesDuringAlertTransition:
         while a lag alert goes firing -> resolved; every scrape must be a
         well-formed 200 and the final alert history must show exactly one
         firing and one resolved transition."""
-        from repro.obs.alerts import AlertRule
-
         total = 60
         gate = threading.Event()
         stop = threading.Event()
@@ -529,7 +596,7 @@ class TestConcurrentScrapesDuringAlertTransition:
                     linger=-1.0,
                     port_file=str(port_file),
                     stop_event=stop,
-                    extra_alert_rules=[
+                    alert_rules=[
                         AlertRule("lag-high", metric="lag_blocks", above=5.0)
                     ],
                     print_fn=lambda _line: None,
