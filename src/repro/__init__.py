@@ -42,7 +42,7 @@ from repro.metrics import (
 from repro.simulation import simulate_bitcoin_2019, simulate_ethereum_2019
 from repro.windows import FixedCalendarWindows, SlidingBlockWindows
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "BITCOIN",

@@ -18,21 +18,17 @@ Example
 [{'miner': 'a', 'n': 2}, {'miner': 'b', 'n': 1}]
 """
 
-from repro.sql.analyze import ExecutionTrace, PlanNode, format_plan
+from repro.sql.analyze import PlanNode, format_plan
 from repro.sql.cost import PlannerOptions
 from repro.sql.executor import QueryEngine, query
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
-from repro.sql.planner import PhysicalPlan, optimize
 
 __all__ = [
-    "ExecutionTrace",
-    "PhysicalPlan",
     "PlanNode",
     "PlannerOptions",
     "QueryEngine",
     "format_plan",
-    "optimize",
     "parse",
     "query",
     "tokenize",

@@ -1,10 +1,11 @@
 """EXPLAIN ANALYZE support: per-operator execution statistics.
 
-The executor's stages (scan, join, filter, aggregate, project, distinct,
-sort, limit) report into an :class:`ExecutionTrace` that builds a tree of
-:class:`PlanNode` rows — wall time plus rows in/out per operator — which
-:func:`format_plan` renders as the ``repro query --explain-analyze``
-output::
+A query is planned into one tree of :class:`PlanNode` operators (see
+:func:`repro.sql.planner.build`).  ``EXPLAIN`` renders that tree
+unexecuted, with estimated rows only; execution walks the same tree, and
+:func:`measure` records each operator's wall time and rows in/out on its
+node, which :func:`format_plan` renders as the ``repro query
+--explain-analyze`` output::
 
     Query                                  time=3.96ms rows=20
     ├─ Parse                               time=0.23ms
@@ -21,24 +22,41 @@ tracer is recording, those totals also accumulate as
 ``sql.op.<kind>.rows_out`` / ``.bytes_scanned`` / ``.spill_rows``
 counters in the Prometheus-exported registry.
 
-When no trace is requested the executor's stage hooks short-circuit to a
-shared null operator, and when the process-wide tracer (:mod:`repro.obs`)
-is enabled the same hooks emit ``sql.*`` spans instead, so ``--trace``
-captures per-operator timing too.
+Outside EXPLAIN ANALYZE, when the process-wide tracer (:mod:`repro.obs`)
+is enabled, each operator runs inside a ``sql.<Op>`` span carrying the
+same statistics, so ``--trace`` captures per-operator timing too.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro import obs
 
+#: Rows processed by per-row Python fallbacks since process start.  There
+#: is no disk spill in this engine; "spill" counts the analogous cliff —
+#: rows leaving the vectorized numpy kernels.  :func:`measure` diffs this
+#: around each operator to attribute spilled rows to it.
+_SPILL_ROWS = 0
 
-@dataclass
+#: Node statistics copied onto an operator's ``sql.<Op>`` span.
+_SPAN_ATTRS = ("rows_in", "rows_out", "rows_est", "bytes_scanned", "spilled_rows")
+
+
+def note_spill(rows: int) -> None:
+    """Count ``rows`` handled by a per-row Python loop."""
+    global _SPILL_ROWS
+    _SPILL_ROWS += int(rows)
+
+
+@dataclass(eq=False)
 class PlanNode:
-    """One operator's measured execution statistics.
+    """One operator of a query's plan tree and its execution statistics.
 
+    ``rows_est`` is the planner's estimate (None without the optimizer).
     ``bytes_scanned`` is the raw size of the column data an operator
     touched (scan-type operators).  ``spilled_rows`` counts rows that fell
     off the columnar fast path onto a per-row Python loop — there is no
@@ -62,95 +80,35 @@ class PlanNode:
         return f"{self.op} {self.detail}".rstrip()
 
 
-class _OpHandle:
-    """Context manager timing one operator inside an :class:`ExecutionTrace`."""
+@contextmanager
+def measure(node: PlanNode, analyze: bool) -> Iterator[None]:
+    """Record the statistics of the operator ``node`` whose work the block does.
 
-    __slots__ = ("_trace", "node", "_start")
-
-    def __init__(self, trace: "ExecutionTrace", node: PlanNode) -> None:
-        self._trace = trace
-        self.node = node
-
-    # Stage code sets rows through the handle so the null handle can
-    # absorb the writes with plain attributes.
-    @property
-    def rows_in(self) -> int | None:
-        return self.node.rows_in
-
-    @rows_in.setter
-    def rows_in(self, value: int) -> None:
-        self.node.rows_in = value
-
-    @property
-    def rows_out(self) -> int | None:
-        return self.node.rows_out
-
-    @rows_out.setter
-    def rows_out(self, value: int) -> None:
-        self.node.rows_out = value
-
-    @property
-    def rows_est(self) -> int | None:
-        return self.node.rows_est
-
-    @rows_est.setter
-    def rows_est(self, value: int | None) -> None:
-        self.node.rows_est = value
-
-    @property
-    def bytes_scanned(self) -> int | None:
-        return self.node.bytes_scanned
-
-    @bytes_scanned.setter
-    def bytes_scanned(self, value: int | None) -> None:
-        self.node.bytes_scanned = value
-
-    @property
-    def spilled_rows(self) -> int | None:
-        return self.node.spilled_rows
-
-    @spilled_rows.setter
-    def spilled_rows(self, value: int | None) -> None:
-        self.node.spilled_rows = value
-
-    def __enter__(self) -> "_OpHandle":
-        self._trace._stack.append(self.node)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.node.seconds = time.perf_counter() - self._start
-        stack = self._trace._stack
-        if stack and stack[-1] is self.node:
-            stack.pop()
-        _feed_registry(
-            self.node.op, self.node.rows_out, self.node.bytes_scanned,
-            self.node.spilled_rows,
-        )
-        return False
+    The block sets the node's row counts; this adds wall time and the rows
+    spilled by the operator itself (its children's spill excluded).  With
+    ``analyze`` off and the process-wide tracer recording, the block runs
+    inside a ``sql.<Op>`` span carrying the statistics; EXPLAIN ANALYZE
+    takes priority and keeps them on the tree only.
+    """
+    attrs = {"detail": node.detail} if node.detail else {}
+    span = obs.span(f"sql.{node.op}", **attrs) if not analyze and obs.tracing_enabled() else None
+    spill_base = _SPILL_ROWS
+    start = time.perf_counter()
+    with span or nullcontext():
+        yield
+        node.seconds = time.perf_counter() - start
+        own = _SPILL_ROWS - spill_base - sum(child.spilled_rows or 0 for child in node.children)
+        node.spilled_rows = own or None
+        if span is not None:
+            span.set(**{
+                name: getattr(node, name)
+                for name in _SPAN_ATTRS
+                if getattr(node, name) is not None
+            })
+    _feed_registry(node)
 
 
-class _NullOp:
-    """Absorbs the stage hooks when neither analyze nor tracing is on."""
-
-    __slots__ = ("rows_in", "rows_out", "rows_est", "bytes_scanned", "spilled_rows")
-
-    def __enter__(self) -> "_NullOp":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_OP = _NullOp()
-
-
-def _feed_registry(
-    op: str,
-    rows_out: int | None,
-    bytes_scanned: int | None,
-    spilled_rows: int | None,
-) -> None:
+def _feed_registry(node: PlanNode) -> None:
     """Accumulate per-operator totals into the process-wide registry.
 
     One counter family per operator kind (``sql.op.scan.rows_out``,
@@ -160,74 +118,13 @@ def _feed_registry(
     """
     if not obs.tracing_enabled():
         return
-    key = op.lower()
-    if rows_out:
-        obs.counter(f"sql.op.{key}.rows_out", rows_out)
-    if bytes_scanned:
-        obs.counter(f"sql.op.{key}.bytes_scanned", bytes_scanned)
-    if spilled_rows:
-        obs.counter(f"sql.op.{key}.spill_rows", spilled_rows)
-
-
-class _ObsOp:
-    """Adapts a stage hook onto a span of the process-wide tracer."""
-
-    __slots__ = ("_span", "_op", "rows_in", "rows_out", "rows_est",
-                 "bytes_scanned", "spilled_rows")
-
-    def __init__(self, op: str, detail: str) -> None:
-        self._span = obs.span(f"sql.{op}", detail=detail) if detail else obs.span(f"sql.{op}")
-        self._op = op
-        self.rows_in: int | None = None
-        self.rows_out: int | None = None
-        self.rows_est: int | None = None
-        self.bytes_scanned: int | None = None
-        self.spilled_rows: int | None = None
-
-    def __enter__(self) -> "_ObsOp":
-        self._span.__enter__()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        if self.rows_in is not None:
-            self._span.set(rows_in=self.rows_in)
-        if self.rows_out is not None:
-            self._span.set(rows_out=self.rows_out)
-        if self.rows_est is not None:
-            self._span.set(rows_est=self.rows_est)
-        if self.bytes_scanned is not None:
-            self._span.set(bytes_scanned=self.bytes_scanned)
-        if self.spilled_rows is not None:
-            self._span.set(spilled_rows=self.spilled_rows)
-        _feed_registry(self._op, self.rows_out, self.bytes_scanned, self.spilled_rows)
-        return self._span.__exit__(*exc_info)
-
-
-class ExecutionTrace:
-    """Collects a :class:`PlanNode` tree while a query executes."""
-
-    def __init__(self) -> None:
-        self.root = PlanNode("Query")
-        self._stack: list[PlanNode] = [self.root]
-
-    def op(self, op: str, detail: str = "") -> _OpHandle:
-        """Open a child operator under the currently executing one."""
-        node = PlanNode(op, detail)
-        self._stack[-1].children.append(node)
-        return _OpHandle(self, node)
-
-
-def stage_op(trace: ExecutionTrace | None, op: str, detail: str = ""):
-    """The stage hook the executor calls around each operator.
-
-    Routes to the analyze collector when one is active, to the process-wide
-    tracer when tracing is enabled, and to a shared no-op otherwise.
-    """
-    if trace is not None:
-        return trace.op(op, detail)
-    if obs.tracing_enabled():
-        return _ObsOp(op, detail)
-    return _NULL_OP
+    key = node.op.lower()
+    if node.rows_out:
+        obs.counter(f"sql.op.{key}.rows_out", node.rows_out)
+    if node.bytes_scanned:
+        obs.counter(f"sql.op.{key}.bytes_scanned", node.bytes_scanned)
+    if node.spilled_rows:
+        obs.counter(f"sql.op.{key}.spill_rows", node.spilled_rows)
 
 
 def _format_bytes(n: int) -> str:

@@ -1,8 +1,9 @@
 """Query execution over :mod:`repro.table` tables.
 
-The executor takes a validated :class:`~repro.sql.planner.QueryPlan` and
-runs it: FROM (with hash joins) → WHERE → GROUP BY/aggregates → HAVING →
-SELECT projection → DISTINCT → ORDER BY → LIMIT/OFFSET.
+The executor walks the operator tree :func:`~repro.sql.planner.build`
+produces for a statement: FROM (scans and joins) → WHERE → GROUP
+BY/aggregates → HAVING → SELECT projection → DISTINCT → ORDER BY →
+LIMIT/OFFSET.
 
 NULL handling is deliberately simple (the datasets the study uses have no
 NULLs outside LEFT JOIN results): comparisons treat ``None`` as an ordinary
@@ -12,7 +13,6 @@ value, ``IS NULL`` matches ``None`` and NaN, and ``COUNT(x)`` skips NULLs.
 from __future__ import annotations
 
 import logging
-import time
 from typing import Any, Mapping
 
 import numpy as np
@@ -30,31 +30,36 @@ from repro.sql.astnodes import (
     FunctionCall,
     InList,
     IsNull,
-    Join,
     Literal,
-    Star,
-    SubquerySource,
+    Select,
     TableRef,
     Unary,
     Union,
 )
 from repro.parallel import WorkerPool, resolve_workers, shard_ranges
 from repro.parallel import work as _work
-from repro.sql.analyze import ExecutionTrace, PlanNode, format_plan, stage_op
+from repro.sql.analyze import PlanNode, format_plan, measure, note_spill
 from repro.sql.cost import PlannerOptions
 from repro.sql.functions import AGGREGATE_FUNCTIONS, call_scalar_function, like_match
 from repro.sql.parser import parse
 from repro.sql.planner import (
-    PhysicalPlan,
-    QueryPlan,
+    AggregateNode,
+    DistinctNode,
+    FilterNode,
+    JoinNode,
+    LimitNode,
+    Outputs,
+    ProjectNode,
+    ScanNode,
+    SelectNode,
+    SortNode,
     SourceInfo,
-    and_combine,
+    UnionAllNode,
+    build,
     find_aggregates,
-    optimize,
-    plan,
     source_tables,
 )
-from repro.table import Table
+from repro.table import Table, concat
 from repro.table.aggregates import grouped_aggregate
 from repro.table.column import Column
 from repro.table.index import Index, build_index
@@ -75,24 +80,6 @@ _PARALLEL_MIN_ROWS = 50_000
 #: and the holistic aggregates (MEDIAN, STDDEV, VARIANCE) have no cheap
 #: partial and always run serially.
 _PARALLEL_FUNCS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
-
-#: Rows processed by per-row Python fallbacks since process start.  There
-#: is no disk spill in this engine; "spill" counts the analogous cliff —
-#: rows leaving the vectorized numpy kernels.  Stage ops diff this around
-#: their block to attribute spilled rows to an operator.
-_SPILL_ROWS = 0
-
-
-def _note_spill(rows: int) -> None:
-    global _SPILL_ROWS
-    _SPILL_ROWS += int(rows)
-
-
-def _table_bytes(table: Table) -> int:
-    """Raw size of a table's column buffers (what a scan materializes)."""
-    return int(
-        sum(table.column(name).values.nbytes for name in table.column_names)
-    )
 
 
 def query(sql: str, **tables: Table) -> Table:
@@ -242,11 +229,9 @@ class QueryEngine:
             return "absent"
         return "fresh" if entry[0] is self._catalog.get(table) else "stale"
 
-    def _source_info(self, ref: TableRef) -> SourceInfo | None:
-        """What the optimizer may assume about one catalog table."""
-        table = self._catalog.get(ref.name)
-        if table is None:
-            return None  # abort optimization; the legacy path reports the error
+    def _source_info(self, ref: TableRef) -> SourceInfo:
+        """What the planner may assume about one catalog table."""
+        table = self._lookup(ref.name)
         entry = self._analyzed.get(ref.name)
         return SourceInfo(
             rows=table.num_rows,
@@ -260,10 +245,10 @@ class QueryEngine:
             },
         )
 
-    def _optimize(self, query_plan: QueryPlan) -> PhysicalPlan | None:
-        if not self.optimizer_enabled:
-            return None
-        return optimize(query_plan, self._source_info, self.options)
+    def _build(self, statement: Select | Union) -> PlanNode:
+        """The operator tree for ``statement`` (naive without the optimizer)."""
+        options = self.options if self.optimizer_enabled else None
+        return build(statement, self._source_info, options)
 
     def execute(self, sql: str) -> Table:
         """Parse, plan and execute one statement (SELECT, UNION ALL, ANALYZE)."""
@@ -272,9 +257,7 @@ class QueryEngine:
             statement = parse(sql)
             if isinstance(statement, Analyze):
                 return self.analyze(statement.table)
-            if isinstance(statement, Union):
-                return self._execute_union(statement)
-            return self.execute_plan(plan(statement))
+            return self._run_tree(self._build(statement), analyze=False)
 
     def explain_analyze(self, sql: str) -> tuple[Table, PlanNode]:
         """Execute ``sql`` with per-operator instrumentation.
@@ -283,52 +266,32 @@ class QueryEngine:
         measured plan tree (wall time and rows in/out per operator),
         rendered by :func:`repro.sql.analyze.format_plan`.
         """
-        trace = ExecutionTrace()
-        start = time.perf_counter()
-        with trace.op("Parse"):
-            statement = parse(sql)
-        if isinstance(statement, Analyze):
-            with trace.op("Analyze", statement.table or "all tables") as op:
-                result = self.analyze(statement.table)
-                op.rows_out = result.num_rows
-        elif isinstance(statement, Union):
-            with trace.op("UnionAll", f"{len(statement.selects)} members") as op:
-                result = self._execute_union(statement, trace=trace)
-                op.rows_out = result.num_rows
-        else:
-            with trace.op("Plan"):
-                query_plan = plan(statement)
-            with trace.op("Execute") as op:
-                result = self.execute_plan(query_plan, trace=trace)
-                op.rows_out = result.num_rows
-        trace.root.seconds = time.perf_counter() - start
-        trace.root.rows_out = result.num_rows
-        return result, trace.root
-
-    def _execute_union(self, union: Union, trace: ExecutionTrace | None = None) -> Table:
-        from repro.table import concat
-
-        parts = []
-        for i, select in enumerate(union.selects):
-            with stage_op(trace, "Member", str(i + 1)) as op:
-                part = self.execute_plan(plan(select), trace=trace)
-                op.rows_out = part.num_rows
-            parts.append(part)
-        schema = parts[0].schema
-        for part in parts[1:]:
-            if part.schema != schema:
-                raise SqlPlanError(
-                    "UNION ALL members must produce identical schemas: "
-                    f"{part.schema} vs {schema}"
-                )
-        return concat(parts)
+        root, parse_node = PlanNode("Query"), PlanNode("Parse")
+        root.children.append(parse_node)
+        with measure(root, True):
+            with measure(parse_node, True):
+                statement = parse(sql)
+            if isinstance(statement, Analyze):
+                tree = PlanNode("Analyze", statement.table or "all tables")
+                with measure(tree, True):
+                    result = self.analyze(statement.table)
+                    tree.rows_out = result.num_rows
+            else:
+                plan_node = PlanNode("Plan")
+                root.children.append(plan_node)
+                with measure(plan_node, True):
+                    tree = self._build(statement)
+                result = self._run_tree(tree, analyze=True)
+            root.children.append(tree)
+            root.rows_out = result.num_rows
+        return result, root
 
     def explain(self, sql: str) -> str:
         """Return a human-readable summary of the query plan.
 
         With the optimizer enabled the logical summary is followed by the
-        physical plan tree (access paths, join strategies and estimated
-        rows per operator) rendered without timings.
+        operator tree (access paths, join strategies and estimated rows
+        per operator) rendered without timings.
         """
         statement = parse(sql)
         if isinstance(statement, Analyze):
@@ -338,282 +301,129 @@ class QueryEngine:
                 "COLLECT row count, per-column distinct/null counts, "
                 "min/max and most-common values"
             )
-        if isinstance(statement, Union):
-            members = "\n".join(
-                f"-- member {i + 1} --" for i in range(len(statement.selects))
-            )
-            return f"UNION ALL of {len(statement.selects)} selects\n{members}"
-        query_plan = plan(statement)
-        select = query_plan.select
-        lines = [
-            "FROM "
-            + " JOIN ".join(t.binding for t in source_tables(select.source))
-        ]
-        if select.where is not None:
-            lines.append("WHERE <predicate>")
-        if query_plan.is_aggregation:
-            lines.append(
-                f"AGGREGATE keys={len(select.group_by)} aggregates={len(query_plan.aggregates)}"
-            )
-        if select.having is not None:
-            lines.append("HAVING <predicate>")
-        lines.append(f"PROJECT {list(query_plan.output_names) or '*'}")
-        if select.distinct:
-            lines.append("DISTINCT")
-        if select.order_by:
-            lines.append(f"ORDER BY {len(select.order_by)} key(s)")
-        if select.limit is not None:
-            lines.append(f"LIMIT {select.limit} OFFSET {select.offset or 0}")
-        physical = self._optimize(query_plan)
-        if physical is not None:
+        tree = self._build(statement)
+        if isinstance(tree, SelectNode):
+            lines = _summary(tree)
+        else:
+            lines = [f"UNION ALL of {len(tree.children)} selects"]
+        if self.optimizer_enabled:
             lines.append("")
             lines.append("-- physical plan (estimated rows) --")
-            lines.append(
-                format_plan(self._physical_tree(query_plan, physical), include_time=False)
-            )
+            lines.append(format_plan(tree, include_time=False))
         return "\n".join(lines)
 
-    def _physical_tree(self, query_plan: QueryPlan, physical: PhysicalPlan) -> PlanNode:
-        """A :class:`PlanNode` tree mirroring execution, estimates only."""
-        select = query_plan.select
-        est = physical.estimates
-        root = PlanNode("Execute", rows_est=est.get("final"))
+    # -- operators ----------------------------------------------------------------
+    #
+    # Execution walks the tree: each operator reads its input from and
+    # writes its output to a ``_Frame``, and ``_run`` wraps every one in
+    # the same timing, spill and tracing bookkeeping.
 
-        def source_nodes(
-            source: TableRef | SubquerySource | Join,
-        ) -> list[PlanNode]:
-            if isinstance(source, TableRef):
-                sp = physical.scans.get(source.binding)
-                if sp is None or sp.is_trivial:
-                    rows = sp.base_rows if sp is not None else None
-                    return [PlanNode("Scan", source.name, rows_est=rows)]
-                access_rows = sp.access_est_rows if sp.access != "seq" else sp.base_rows
-                nodes = [PlanNode("Scan", sp.describe(), rows_est=access_rows)]
-                if sp.pushed:
-                    nodes.append(PlanNode("Filter", "pushed", rows_est=sp.est_rows))
-                return nodes
-            if isinstance(source, SubquerySource):
-                rows = physical.subquery_rows.get(source.binding)
-                return [PlanNode("Subquery", source.binding, rows_est=rows)]
-            jp = physical.joins.get(source)
-            detail = source.kind.upper()
-            if jp is not None:
-                detail = f"{detail} {jp.describe()}"
-            node = PlanNode("Join", detail, rows_est=jp.est_rows if jp else None)
-            node.children.extend(source_nodes(source.left))
-            node.children.extend(source_nodes(source.right))
-            return [node]
+    def _run_tree(self, tree: PlanNode, analyze: bool) -> Table:
+        frame = _Frame(analyze)
+        self._run(tree, frame)
+        return frame.result
 
-        root.children.extend(source_nodes(select.source))
-        if physical.residual_where is not None:
-            root.children.append(PlanNode("Filter", rows_est=est.get("filter")))
-        if query_plan.is_aggregation:
-            detail = (
-                f"keys={len(select.group_by)} aggregates={len(query_plan.aggregates)}"
-            )
-            root.children.append(PlanNode("Aggregate", detail, rows_est=est.get("aggregate")))
+    def _run(self, node: PlanNode, frame: "_Frame") -> None:
+        with measure(node, frame.analyze):
+            _OPERATORS[type(node)](self, node, frame)
+
+    def _run_select(self, node: SelectNode, frame: "_Frame") -> None:
+        inner = _Frame(frame.analyze)
+        for stage in node.children:
+            self._run(stage, inner)
+        node.rows_out = inner.result.num_rows
+        if node.op == "Subquery":
+            frame.scope = _Scope.single(node.detail, inner.result)
         else:
-            root.children.append(
-                PlanNode("Project", _project_detail(query_plan), rows_est=est.get("project"))
-            )
-        if select.distinct:
-            root.children.append(PlanNode("Distinct", rows_est=est.get("distinct")))
-        if select.order_by:
-            root.children.append(
-                PlanNode("Sort", f"keys={len(select.order_by)}", rows_est=est.get("sort"))
-            )
-        if select.limit is not None or select.offset is not None:
-            root.children.append(PlanNode("Limit", rows_est=est.get("limit")))
-        return root
+            frame.result = inner.result
 
-    def execute_plan(
-        self,
-        query_plan: QueryPlan,
-        trace: ExecutionTrace | None = None,
-        physical: PhysicalPlan | None = None,
-    ) -> Table:
-        """Run a validated plan against the catalog.
+    def _run_union(self, node: UnionAllNode, frame: "_Frame") -> None:
+        parts = [self._run_tree(member, frame.analyze) for member in node.children]
+        schema = parts[0].schema
+        for part in parts[1:]:
+            if part.schema != schema:
+                raise SqlPlanError(
+                    "UNION ALL members must produce identical schemas: "
+                    f"{part.schema} vs {schema}"
+                )
+        frame.result = concat(parts)
+        node.rows_out = frame.result.num_rows
 
-        ``trace`` (an :class:`~repro.sql.analyze.ExecutionTrace`) collects
-        per-operator wall time and row counts for EXPLAIN ANALYZE; when
-        omitted the stage hooks are no-ops (or ``sql.*`` spans if the
-        process-wide tracer is enabled).  ``physical`` carries the
-        cost-based optimizer's decisions; when omitted one is computed
-        (unless the engine was built with ``optimizer=False``).  Physical
-        planning never changes results — only access paths, join
-        strategies and the ``est=`` numbers on the plan tree.
-        """
-        select = query_plan.select
-        if physical is None and self.optimizer_enabled:
-            with stage_op(trace, "Optimize"):
-                physical = self._optimize(query_plan)
-        est = physical.estimates if physical is not None else {}
-        scope = self._build_scope(select.source, trace, physical)
+    def _run_scan(self, node: ScanNode, frame: "_Frame") -> None:
+        table = self._lookup(node.table_name)
+        if node.access != "seq":
+            index = self._indexes[node.table_name][node.index_column]
+            if node.access == "index-eq":
+                rows = index.lookup_eq(node.index_value)
+            else:
+                rows = index.lookup_range(
+                    node.index_low,
+                    node.index_high,
+                    node.index_include_low,
+                    node.index_include_high,
+                )
+            table = table.take(rows)
+        if node.columns is not None:
+            table = table.select(list(node.columns))
+        node.rows_out = table.num_rows
+        # Raw size of the column buffers the scan materializes.
+        node.bytes_scanned = int(sum(table.column(c).values.nbytes for c in table.column_names))
+        frame.scope = _Scope.single(node.binding, table)
+
+    def _run_filter(self, node: FilterNode, frame: "_Frame") -> None:
+        scope = frame.scope
         table = scope.table
-        where_expr = physical.residual_where if physical is not None else select.where
-        if where_expr is not None:
-            with stage_op(trace, "Filter") as op:
-                op.rows_in = table.num_rows
-                op.rows_est = est.get("filter")
-                spill_base = _SPILL_ROWS
-                mask = _as_bool_mask(
-                    _evaluate(where_expr, table, scope), table.num_rows
-                )
-                table = table.filter(mask)
-                op.rows_out = table.num_rows
-                op.spilled_rows = (_SPILL_ROWS - spill_base) or None
-        if query_plan.is_aggregation:
-            detail = (
-                f"keys={len(select.group_by)} aggregates={len(query_plan.aggregates)}"
+        mask = _as_bool_mask(_evaluate(node.predicate, table, scope), table.num_rows)
+        frame.scope = scope.with_table(table.filter(mask))
+        node.rows_in = table.num_rows
+        node.rows_out = frame.scope.table.num_rows
+
+    def _run_join(self, node: JoinNode, frame: "_Frame") -> None:
+        left, right = _Frame(frame.analyze), _Frame(frame.analyze)
+        for i, child in enumerate(node.children):
+            self._run(child, left if i < node.n_left else right)
+        left_qualified = left.scope.qualified()
+        right_qualified = right.scope.qualified()
+        join = node.join
+        left_key = left_qualified.resolve(join.on_left)
+        right_key = right_qualified.resolve(join.on_right)
+        if node.strategy == "index":
+            index = self._indexes[node.index_table][node.index_column]
+            joined = _index_join(
+                left_qualified.table, left_key, right_qualified.table, index, join.kind
             )
-            with stage_op(trace, "Aggregate", detail) as op:
-                op.rows_in = table.num_rows
-                op.rows_est = est.get("aggregate")
-                spill_base = _SPILL_ROWS
-                result = self._run_aggregation(query_plan, table, scope, trace)
-                op.rows_out = result.num_rows
-                op.spilled_rows = (_SPILL_ROWS - spill_base) or None
         else:
-            with stage_op(trace, "Project", _project_detail(query_plan)) as op:
-                op.rows_est = est.get("project")
-                result = self._run_projection(query_plan, table, scope)
-                op.rows_out = result.num_rows
-        if select.distinct and result.num_rows:
-            with stage_op(trace, "Distinct") as op:
-                op.rows_in = result.num_rows
-                op.rows_est = est.get("distinct")
-                result = result.distinct()
-                op.rows_out = result.num_rows
-        if select.order_by:
-            with stage_op(trace, "Sort", f"keys={len(select.order_by)}") as op:
-                op.rows_est = est.get("sort")
-                result = self._apply_order(query_plan, result, table, scope)
-                op.rows_out = result.num_rows
-        if select.offset is not None or select.limit is not None:
-            detail = f"{select.limit if select.limit is not None else 'ALL'}"
-            if select.offset:
-                detail += f" offset={select.offset}"
-            with stage_op(trace, "Limit", detail) as op:
-                op.rows_in = result.num_rows
-                op.rows_est = est.get("limit")
-                start = select.offset or 0
-                stop = None if select.limit is None else start + select.limit
-                result = result.slice(start, stop)
-                op.rows_out = result.num_rows
-        return result
+            kernel = _sort_merge_join if node.strategy == "sort_merge" else _hash_join
+            joined = kernel(
+                left_qualified.table, left_key, right_qualified.table, right_key, join.kind
+            )
+        node.rows_out = joined.num_rows
+        frame.scope = _Scope(joined, None, is_join=True)
 
-    # -- FROM ------------------------------------------------------------------
+    def _run_project(self, node: ProjectNode, frame: "_Frame") -> None:
+        scope = frame.scope
+        table = scope.table
+        if not node.outputs:
+            frame.result = scope.star_projection(table)
+        else:
+            frame.result = Table({
+                name: _to_column(_evaluate(expr, table, scope), table.num_rows)
+                for name, expr in node.outputs
+            })
+        node.rows_out = frame.result.num_rows
 
-    def _build_scope(
-        self,
-        source: TableRef | SubquerySource | Join,
-        trace: ExecutionTrace | None = None,
-        physical: PhysicalPlan | None = None,
-    ) -> "_Scope":
-        if isinstance(source, TableRef):
-            return self._scan_table(source, trace, physical)
-        if isinstance(source, SubquerySource):
-            with stage_op(trace, "Subquery", source.binding) as op:
-                if physical is not None:
-                    op.rows_est = physical.subquery_rows.get(source.binding)
-                derived = self.execute_plan(plan(source.select), trace)
-                op.rows_out = derived.num_rows
-            return _Scope.single(source.binding, derived)
-        join_plan = physical.joins.get(source) if physical is not None else None
-        detail = source.kind.upper()
-        if join_plan is not None:
-            detail = f"{detail} {join_plan.describe()}"
-        with stage_op(trace, "Join", detail) as op:
-            if join_plan is not None:
-                op.rows_est = join_plan.est_rows
-            left_scope = self._build_scope(source.left, trace, physical)
-            right = self._build_scope(source.right, trace, physical)
-            left_qualified = left_scope.qualified()
-            right_qualified = right.qualified()
-            left_key = left_qualified.resolve(source.on_left)
-            right_key = right_qualified.resolve(source.on_right)
-            strategy = join_plan.strategy if join_plan is not None else "hash"
-            if strategy == "sort_merge":
-                joined = _sort_merge_join(
-                    left_qualified.table,
-                    left_key,
-                    right_qualified.table,
-                    right_key,
-                    source.kind,
-                )
-            elif strategy == "index" and join_plan is not None:
-                index = self._indexes[join_plan.index_table][join_plan.index_column]
-                joined = _index_join(
-                    left_qualified.table,
-                    left_key,
-                    right_qualified.table,
-                    index,
-                    source.kind,
-                )
-            else:
-                joined = _hash_join(
-                    left_qualified.table,
-                    left_key,
-                    right_qualified.table,
-                    right_key,
-                    source.kind,
-                )
-            op.rows_out = joined.num_rows
-        return _Scope.joined(joined)
+    def _run_distinct(self, node: DistinctNode, frame: "_Frame") -> None:
+        node.rows_in = frame.result.num_rows
+        if frame.result.num_rows:
+            frame.result = frame.result.distinct()
+        node.rows_out = frame.result.num_rows
 
-    def _scan_table(
-        self,
-        source: TableRef,
-        trace: ExecutionTrace | None,
-        physical: PhysicalPlan | None,
-    ) -> "_Scope":
-        scan = physical.scans.get(source.binding) if physical is not None else None
-        if scan is None or scan.is_trivial:
-            with stage_op(trace, "Scan", source.name) as op:
-                table = self._lookup(source.name)
-                op.rows_out = table.num_rows
-                op.bytes_scanned = _table_bytes(table)
-                if scan is not None:
-                    op.rows_est = scan.base_rows
-            return _Scope.single(source.binding, table)
-        table = self._lookup(source.name)
-        with stage_op(trace, "Scan", scan.describe()) as op:
-            if scan.access == "index-eq":
-                index = self._indexes[source.name][scan.index_column]
-                table = table.take(index.lookup_eq(scan.index_value))
-                op.rows_est = scan.access_est_rows
-            elif scan.access == "index-range":
-                index = self._indexes[source.name][scan.index_column]
-                table = table.take(
-                    index.lookup_range(
-                        scan.index_low,
-                        scan.index_high,
-                        scan.index_include_low,
-                        scan.index_include_high,
-                    )
-                )
-                op.rows_est = scan.access_est_rows
-            else:
-                op.rows_est = scan.base_rows
-            if scan.columns is not None:
-                table = table.select(list(scan.columns))
-            op.rows_out = table.num_rows
-            op.bytes_scanned = _table_bytes(table)
-        scope = _Scope.single(source.binding, table)
-        if scan.pushed:
-            with stage_op(trace, "Filter", "pushed") as op:
-                op.rows_in = table.num_rows
-                op.rows_est = scan.est_rows
-                spill_base = _SPILL_ROWS
-                predicate = and_combine(list(scan.pushed))
-                mask = _as_bool_mask(
-                    _evaluate(predicate, table, scope), table.num_rows
-                )
-                table = table.filter(mask)
-                op.rows_out = table.num_rows
-                op.spilled_rows = (_SPILL_ROWS - spill_base) or None
-            scope = _Scope.single(source.binding, table)
-        return scope
+    def _run_limit(self, node: LimitNode, frame: "_Frame") -> None:
+        node.rows_in = frame.result.num_rows
+        start = node.offset or 0
+        stop = None if node.limit is None else start + node.limit
+        frame.result = frame.result.slice(start, stop)
+        node.rows_out = frame.result.num_rows
 
     def _lookup(self, name: str) -> Table:
         try:
@@ -622,38 +432,21 @@ class QueryEngine:
             known = ", ".join(sorted(self._catalog)) or "<none>"
             raise SqlPlanError(f"unknown table {name!r}; registered tables: {known}") from None
 
-    # -- plain projection --------------------------------------------------------
-
-    def _run_projection(self, query_plan: QueryPlan, table: Table, scope: "_Scope") -> Table:
-        select = query_plan.select
-        if isinstance(select.items, Star):
-            return scope.star_projection(table)
-        data: dict[str, Column] = {}
-        for name, item in zip(query_plan.output_names, select.items):
-            value = _evaluate(item.expr, table, scope)
-            data[name] = _to_column(value, table.num_rows)
-        return Table(data)
-
     # -- aggregation --------------------------------------------------------------
 
-    def _run_aggregation(
-        self,
-        query_plan: QueryPlan,
-        table: Table,
-        scope: "_Scope",
-        trace: ExecutionTrace | None = None,
-    ) -> Table:
-        select = query_plan.select
+    def _run_aggregate(self, node: AggregateNode, frame: "_Frame") -> None:
+        scope = frame.scope
+        table = scope.table
         n_rows = table.num_rows
-        group_exprs = _resolve_group_keys(query_plan, scope)
+        group_exprs = _resolve_group_keys(node, scope)
         key_arrays = [
             _broadcast(_evaluate(expr, table, scope), n_rows)
             for expr in group_exprs
         ]
         env: dict[Expr, np.ndarray] | None = None
-        if group_exprs and self._parallel_eligible(query_plan, n_rows):
+        if group_exprs and self._parallel_eligible(node, n_rows):
             env, n_groups = self._parallel_aggregation(
-                query_plan, table, scope, group_exprs, key_arrays, trace
+                node, table, scope, group_exprs, key_arrays, frame.analyze
             )
         if env is None:
             if group_exprs:
@@ -664,44 +457,44 @@ class QueryEngine:
             env = {}
             for expr, keys in zip(group_exprs, key_arrays):
                 env[expr] = _first_per_group(keys, group_ids, n_groups)
-            for aggregate in query_plan.aggregates:
+            for aggregate in node.aggregates:
                 env[aggregate] = _evaluate_aggregate(
                     aggregate, table, scope, group_ids, n_groups
                 )
-        alias_map = _alias_map(query_plan)
-        if select.having is not None:
-            having_expr = _resolve_aliases(select.having, alias_map)
+        if node.having is not None:
+            having_expr = _resolve_aliases(node.having, dict(node.outputs))
             mask_values = _evaluate_grouped(having_expr, env, n_groups)
             mask = _as_bool_mask(mask_values, n_groups)
             keep = np.flatnonzero(mask)
         else:
             keep = np.arange(n_groups)
         data: dict[str, Column] = {}
-        for name, item in zip(query_plan.output_names, select.items):
-            values = _broadcast(_evaluate_grouped(item.expr, env, n_groups), n_groups)
+        for name, expr in node.outputs:
+            values = _broadcast(_evaluate_grouped(expr, env, n_groups), n_groups)
             data[name] = _to_column(values[keep], len(keep))
-        result = Table(data)
-        # Stash the group environment for ORDER BY over aggregate expressions.
-        self._last_group_env = (env, keep, n_groups)
-        return result
+        frame.result = Table(data)
+        # ORDER BY over aggregate expressions reads the group environment.
+        frame.groups = (env, keep, n_groups)
+        node.rows_in = n_rows
+        node.rows_out = frame.result.num_rows
 
-    def _parallel_eligible(self, query_plan: QueryPlan, n_rows: int) -> bool:
+    def _parallel_eligible(self, node: AggregateNode, n_rows: int) -> bool:
         """Whether this aggregation can run as partial/final over partitions."""
         if self.workers < 2 or n_rows < _PARALLEL_MIN_ROWS:
             return False
-        for aggregate in query_plan.aggregates:
+        for aggregate in node.aggregates:
             if aggregate.distinct or aggregate.func not in _PARALLEL_FUNCS:
                 return False
         return True
 
     def _parallel_aggregation(
         self,
-        query_plan: QueryPlan,
+        node: AggregateNode,
         table: Table,
         scope: "_Scope",
         group_exprs: tuple[Expr, ...],
         key_arrays: list[np.ndarray],
-        trace: ExecutionTrace | None,
+        analyze: bool,
     ) -> tuple[dict[Expr, np.ndarray], int]:
         """Partitioned scan + parallel partial aggregate + in-order finalize.
 
@@ -711,19 +504,19 @@ class QueryEngine:
         states.  The coordinator walks the partitions **in order**,
         numbering each unseen key tuple as it appears — which is exactly
         the first-appearance-over-all-rows numbering ``_factorize``
-        produces — then folds the partials into final values.  With
-        EXPLAIN ANALYZE the plan shows one ``ParallelScan`` +
-        ``PartialAggregate`` node pair per partition (worker-measured
-        times) and a ``FinalizeAggregate`` merge node.
+        produces — then folds the partials into final values.  The
+        Aggregate node gains one ``ParallelScan`` + ``PartialAggregate``
+        child pair per partition (worker-measured times) and a
+        ``FinalizeAggregate`` merge child.
         """
         n_rows = table.num_rows
         n_workers = self.workers
-        funcs = tuple(a.func for a in query_plan.aggregates)
+        funcs = tuple(a.func for a in node.aggregates)
         agg_arrays = [
             None
             if a.argument is None
             else np.asarray(_broadcast(_evaluate(a.argument, table, scope), n_rows))
-            for a in query_plan.aggregates
+            for a in node.aggregates
         ]
         ranges = shard_ranges(n_rows, n_workers)
         obs.counter("sql.parallel_aggregate")
@@ -732,20 +525,18 @@ class QueryEngine:
                 _work.sql_partial_aggregate,
                 [(lo, hi, funcs) for lo, hi in ranges],
             )
-        if trace is not None:
-            for i, ((lo, hi), part) in enumerate(zip(ranges, parts)):
-                with trace.op("ParallelScan", f"partition={i} rows[{lo}:{hi}]") as op:
-                    pass
-                op.node.seconds = part["scan_seconds"]
-                op.node.rows_out = part["rows"]
-                with trace.op("PartialAggregate", f"partition={i}") as op:
-                    pass
-                op.node.seconds = part["agg_seconds"]
-                op.node.rows_in = part["rows"]
-                op.node.rows_out = len(part["keys"])
-        with stage_op(
-            trace, "FinalizeAggregate", f"partitions={len(parts)} workers={n_workers}"
-        ) as op:
+        for i, ((lo, hi), part) in enumerate(zip(ranges, parts)):
+            node.children.append(PlanNode(
+                "ParallelScan", f"partition={i} rows[{lo}:{hi}]",
+                rows_out=part["rows"], seconds=part["scan_seconds"],
+            ))
+            node.children.append(PlanNode(
+                "PartialAggregate", f"partition={i}", rows_in=part["rows"],
+                rows_out=len(part["keys"]), seconds=part["agg_seconds"],
+            ))
+        finalize = PlanNode("FinalizeAggregate", f"partitions={len(parts)} workers={n_workers}")
+        node.children.append(finalize)
+        with measure(finalize, analyze):
             mapping: dict = {}
             remaps: list[np.ndarray] = []
             for part in parts:
@@ -764,7 +555,7 @@ class QueryEngine:
                 for key, gid in mapping.items():
                     out[gid] = key[k]
                 env[expr] = out
-            for i, aggregate in enumerate(query_plan.aggregates):
+            for i, aggregate in enumerate(node.aggregates):
                 env[aggregate] = _merge_partials(
                     funcs[i],
                     agg_arrays[i],
@@ -772,23 +563,22 @@ class QueryEngine:
                     remaps,
                     n_groups,
                 )
-            op.rows_in = sum(len(part["keys"]) for part in parts)
-            op.rows_out = n_groups
+            finalize.rows_in = sum(len(part["keys"]) for part in parts)
+            finalize.rows_out = n_groups
         return env, n_groups
 
     # -- ORDER BY ---------------------------------------------------------------
 
-    def _apply_order(
-        self, query_plan: QueryPlan, result: Table, table: Table, scope: "_Scope"
-    ) -> Table:
-        select = query_plan.select
-        if not select.order_by:
-            return result
+    def _run_sort(self, node: SortNode, frame: "_Frame") -> None:
+        result = frame.result
+        scope = frame.scope
+        table = scope.table
         sort_arrays: list[np.ndarray] = []
         flags: list[bool] = []
-        alias_map = _alias_map(query_plan)
-        for item in select.order_by:
+        alias_map = dict(node.outputs)
+        for item in node.keys:
             expr = item.expr
+            output = _find_output(expr, node.outputs)
             if isinstance(expr, Literal) and isinstance(expr.value, int):
                 index = expr.value - 1
                 if not 0 <= index < result.num_columns:
@@ -798,16 +588,16 @@ class QueryEngine:
                 values = result[result.column_names[index]]
             elif isinstance(expr, ColumnRef) and expr.table is None and expr.name in result:
                 values = result[expr.name]
-            elif expr in alias_map.values() and _find_output(expr, query_plan) is not None:
-                values = result[_find_output(expr, query_plan)]
-            elif query_plan.is_aggregation:
-                env, keep, n_groups = self._last_group_env
+            elif output is not None:
+                values = result[output]
+            elif frame.groups is not None:
+                env, keep, n_groups = frame.groups
                 resolved = _resolve_aliases(expr, alias_map)
                 values = _broadcast(
                     _evaluate_grouped(resolved, env, n_groups), n_groups
                 )[keep]
             else:
-                if select.distinct:
+                if node.distinct:
                     raise SqlPlanError(
                         "ORDER BY with DISTINCT must reference output columns"
                     )
@@ -821,7 +611,62 @@ class QueryEngine:
             code = _order_codes(values)
             codes.append(-code if descending else code)
         order = np.lexsort(list(reversed(codes)))
-        return result.take(order)
+        frame.result = result.take(order)
+        node.rows_out = frame.result.num_rows
+
+
+#: The method that runs each operator kind.
+_OPERATORS: dict[type, Any] = {
+    SelectNode: QueryEngine._run_select,
+    UnionAllNode: QueryEngine._run_union,
+    ScanNode: QueryEngine._run_scan,
+    FilterNode: QueryEngine._run_filter,
+    JoinNode: QueryEngine._run_join,
+    AggregateNode: QueryEngine._run_aggregate,
+    ProjectNode: QueryEngine._run_project,
+    DistinctNode: QueryEngine._run_distinct,
+    SortNode: QueryEngine._run_sort,
+    LimitNode: QueryEngine._run_limit,
+}
+
+
+class _Frame:
+    """What one pipeline's operators hand each other.
+
+    ``scope`` is the FROM output (filters replace its table), ``result``
+    the output rows once Aggregate or Project ran, and ``groups`` the
+    Aggregate's ``(env, kept groups, n_groups)`` for ORDER BY.
+    """
+
+    __slots__ = ("analyze", "scope", "result", "groups")
+    scope: "_Scope"
+    result: Table
+    groups: tuple[dict[Expr, np.ndarray], np.ndarray, int] | None
+
+    def __init__(self, analyze: bool) -> None:
+        self.analyze = analyze
+        self.groups = None
+
+
+def _summary(node: SelectNode) -> list[str]:
+    """EXPLAIN's logical summary of one SELECT."""
+    select = node.select
+    lines = ["FROM " + " JOIN ".join(t.binding for t in source_tables(select.source))]
+    if select.where is not None:
+        lines.append("WHERE <predicate>")
+    lines.extend(
+        f"AGGREGATE {stage.detail}" for stage in node.children if isinstance(stage, AggregateNode)
+    )
+    if select.having is not None:
+        lines.append("HAVING <predicate>")
+    lines.append(f"PROJECT {list(node.output_names) or '*'}")
+    if select.distinct:
+        lines.append("DISTINCT")
+    if select.order_by:
+        lines.append(f"ORDER BY {len(select.order_by)} key(s)")
+    if select.limit is not None:
+        lines.append(f"LIMIT {select.limit} OFFSET {select.offset or 0}")
+    return lines
 
 
 # -- scope -----------------------------------------------------------------------
@@ -845,10 +690,9 @@ class _Scope:
         """Scope over one physical or derived table."""
         return cls(table, binding, is_join=False)
 
-    @classmethod
-    def joined(cls, table: Table) -> "_Scope":
-        """Scope over a join result with qualified column names."""
-        return cls(table, None, is_join=True)
+    def with_table(self, table: Table) -> "_Scope":
+        """This scope over ``table``, a row subset of the current one."""
+        return _Scope(table, self._binding, self._is_join)
 
     def qualified(self) -> "_Scope":
         """Return this scope with every physical column qualified."""
@@ -1215,7 +1059,7 @@ def _compare(op: str, left: Any, right: Any) -> np.ndarray:
 def _compare_object(op: str, left: Any, right: Any) -> np.ndarray:
     import operator as _operator
 
-    _note_spill(
+    note_spill(
         len(left) if isinstance(left, np.ndarray) else len(right)
     )
 
@@ -1317,15 +1161,6 @@ def _display(value: Any) -> str | None:
         if value == int(value) and abs(value) < 1e15:
             return str(int(value))
     return str(value)
-
-
-def _project_detail(query_plan: QueryPlan) -> str:
-    names = query_plan.output_names
-    if not names:
-        return "*"
-    if len(names) > 4:
-        return f"[{', '.join(names[:4])}, ... +{len(names) - 4}]"
-    return f"[{', '.join(names)}]"
 
 
 def _broadcast(value: Any, length: int) -> np.ndarray:
@@ -1462,23 +1297,21 @@ def _first_per_group(
     return values[first]
 
 
-def _resolve_group_keys(query_plan: QueryPlan, scope: "_Scope") -> tuple[Expr, ...]:
+def _resolve_group_keys(node: AggregateNode, scope: "_Scope") -> tuple[Expr, ...]:
     """Resolve positional (``GROUP BY 1``) and alias group keys.
 
     BigQuery-style: an integer literal refers to the 1-based select item,
     and a bare identifier that matches an output alias (and is not itself a
     physical column) groups by that item's expression.
     """
-    select = query_plan.select
-    alias_map = _alias_map(query_plan)
-    items = select.items if not isinstance(select.items, Star) else ()
+    alias_map = dict(node.outputs)
     resolved: list[Expr] = []
-    for expr in select.group_by:
+    for expr in node.group_by:
         if isinstance(expr, Literal) and isinstance(expr.value, int):
             index = expr.value - 1
-            if not 0 <= index < len(items):
+            if not 0 <= index < len(node.outputs):
                 raise SqlPlanError(f"GROUP BY position {expr.value} out of range")
-            expr = items[index].expr
+            expr = node.outputs[index][1]
         elif isinstance(expr, ColumnRef) and expr.table is None and expr.name in alias_map:
             if not _is_physical_column(expr, scope):
                 expr = alias_map[expr.name]
@@ -1496,22 +1329,9 @@ def _is_physical_column(ref: ColumnRef, scope: "_Scope") -> bool:
     return True
 
 
-def _alias_map(query_plan: QueryPlan) -> dict[str, Expr]:
-    select = query_plan.select
-    if isinstance(select.items, Star):
-        return {}
-    return {
-        name: item.expr
-        for name, item in zip(query_plan.output_names, select.items)
-    }
-
-
-def _find_output(expr: Expr, query_plan: QueryPlan) -> str | None:
-    select = query_plan.select
-    if isinstance(select.items, Star):
-        return None
-    for name, item in zip(query_plan.output_names, select.items):
-        if item.expr == expr:
+def _find_output(expr: Expr, outputs: Outputs) -> str | None:
+    for name, output in outputs:
+        if output == expr:
             return name
     return None
 

@@ -1,20 +1,26 @@
-"""Semantic analysis and cost-based physical planning for parsed queries.
+"""Planning: one operator tree per query, validated and optimized in one pass.
 
-Two layers live here.  The *semantic* planner walks a
-:class:`~repro.sql.astnodes.Select` and produces a :class:`QueryPlan` with
-everything the executor needs decided up front: whether the query
-aggregates, which aggregate nodes occur where, the output column names,
-and validation errors surfaced as :class:`SqlPlanError` before any data
-is touched.
+:func:`build` walks a parsed statement once and returns the tree of
+:class:`~repro.sql.analyze.PlanNode` operators that ``EXPLAIN`` prints,
+execution runs and ``EXPLAIN ANALYZE`` fills with measurements.  Each
+SELECT becomes one :class:`SelectNode` whose children are its stages in
+execution order — the FROM sources (:class:`ScanNode`, a pushed
+:class:`FilterNode`, :class:`JoinNode`, a derived table's own
+``Subquery`` :class:`SelectNode`), then the residual WHERE filter,
+:class:`AggregateNode` or :class:`ProjectNode`, :class:`DistinctNode`,
+:class:`SortNode` and :class:`LimitNode`.  A ``UNION ALL`` is a
+:class:`UnionAllNode` over one ``Member`` :class:`SelectNode` per SELECT.
 
-The *physical* planner (:func:`optimize`) then turns a :class:`QueryPlan`
-into a :class:`PhysicalPlan`: per-table access paths (sequential scan vs.
+The same pass validates (raising :class:`SqlPlanError` before any data is
+touched: misplaced aggregates, unknown tables and columns, ...) and makes
+the cost-based decisions: per-table access paths (sequential scan vs.
 index equality/range scan), predicate and projection pushdown into the
 columnar scans, a join strategy per join node (hash / sort-merge / index
 nested-loop, priced by :mod:`repro.sql.cost`), and estimated row counts
-for every stage — the ``est=`` column of EXPLAIN / EXPLAIN ANALYZE.
-Physical planning is purely advisory: the executor produces byte-identical
-results with or without a physical plan.
+for every node — the ``est=`` column of EXPLAIN / EXPLAIN ANALYZE.
+Without options every decision keeps its naive value (full scans, WHERE
+after FROM, hash joins, no estimates); the executor produces
+byte-identical results either way.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.errors import SqlPlanError
+from repro.sql.analyze import PlanNode
 from repro.sql.astnodes import (
     Aggregate,
     Between,
@@ -36,14 +43,17 @@ from repro.sql.astnodes import (
     IsNull,
     Join,
     Literal,
+    OrderItem,
     Select,
     SelectItem,
     Star,
     SubquerySource,
     TableRef,
     Unary,
+    Union,
 )
 from repro.sql.cost import (
+    TOGGLE_NAMES,
     PlannerOptions,
     choose_join_strategy,
     estimate_join_rows,
@@ -51,63 +61,146 @@ from repro.sql.cost import (
 )
 from repro.table.stats import TableStatistics
 
+#: A select list as ``(output name, expression)`` pairs; empty for ``*``.
+Outputs = tuple[tuple[str, Expr], ...]
 
-@dataclass
-class QueryPlan:
-    """A validated query, ready for execution."""
+
+@dataclass(eq=False, kw_only=True)
+class SelectNode(PlanNode):
+    """One SELECT: its stages, run in order.
+
+    ``op`` is ``Execute`` for the statement itself, ``Subquery`` for a
+    derived table (``detail`` is its binding) and ``Member`` for a
+    ``UNION ALL`` member (``detail`` is its 1-based position).
+    """
 
     select: Select
-    is_aggregation: bool
-    aggregates: tuple[Aggregate, ...]
     output_names: tuple[str, ...]
-    table_names: tuple[str, ...] = field(default_factory=tuple)
+
+
+@dataclass(eq=False, kw_only=True)
+class ScanNode(PlanNode):
+    """Access path for one base table in FROM."""
+
+    op: str = field(default="Scan", init=False)
+    binding: str
+    table_name: str
+    access: str = "seq"  # "seq" | "index-eq" | "index-range"
+    index_column: str = ""
+    index_kind: str = ""
+    index_value: Any = None
+    index_low: Any = None
+    index_high: Any = None
+    index_include_low: bool = True
+    index_include_high: bool = True
+    columns: tuple[str, ...] | None = None  # projection pushdown; None keeps all
+    stats_state: str = "absent"
+
+    def describe(self) -> str:
+        """Human-readable access-path summary for EXPLAIN."""
+        parts = [self.table_name]
+        if self.access == "index-eq":
+            parts.append(f"via {self.index_column}[{self.index_kind}] = {self.index_value!r}")
+        elif self.access == "index-range":
+            low = "-inf" if self.index_low is None else repr(self.index_low)
+            high = "+inf" if self.index_high is None else repr(self.index_high)
+            left = "[" if self.index_include_low else "("
+            right = "]" if self.index_include_high else ")"
+            parts.append(f"via {self.index_column}[{self.index_kind}] {left}{low}, {high}{right}")
+        if self.columns is not None:
+            parts.append(f"cols={len(self.columns)}")
+        parts.append(f"stats={self.stats_state}")
+        return " ".join(parts)
+
+
+@dataclass(eq=False, kw_only=True)
+class FilterNode(PlanNode):
+    """Keeps the rows where ``predicate`` holds (``detail="pushed"`` in a scan)."""
+
+    op: str = field(default="Filter", init=False)
+    predicate: Expr
+
+
+@dataclass(eq=False, kw_only=True)
+class JoinNode(PlanNode):
+    """An equi-join; ``children[:n_left]`` build its left input, the rest its right."""
+
+    op: str = field(default="Join", init=False)
+    join: Join
+    n_left: int
+    strategy: str = "hash"  # "hash" | "sort_merge" | "index"
+    index_table: str = ""  # catalog name owning the probe index
+    index_column: str = ""
+
+
+@dataclass(eq=False, kw_only=True)
+class AggregateNode(PlanNode):
+    """GROUP BY, aggregates and HAVING, producing the select list per group."""
+
+    op: str = field(default="Aggregate", init=False)
+    group_by: tuple[Expr, ...]
+    aggregates: tuple[Aggregate, ...]
+    having: Expr | None
+    outputs: Outputs
+
+
+@dataclass(eq=False, kw_only=True)
+class ProjectNode(PlanNode):
+    """Evaluates the select list (``outputs``) per row."""
+
+    op: str = field(default="Project", init=False)
+    outputs: Outputs
+
+
+@dataclass(eq=False, kw_only=True)
+class DistinctNode(PlanNode):
+    """Drops duplicate output rows."""
+
+    op: str = field(default="Distinct", init=False)
+
+
+@dataclass(eq=False, kw_only=True)
+class SortNode(PlanNode):
+    """ORDER BY ``keys``; output aliases resolve through ``outputs``."""
+
+    op: str = field(default="Sort", init=False)
+    keys: tuple[OrderItem, ...]
+    outputs: Outputs
+    distinct: bool
+
+
+@dataclass(eq=False, kw_only=True)
+class LimitNode(PlanNode):
+    """LIMIT / OFFSET."""
+
+    op: str = field(default="Limit", init=False)
+    limit: int | None
+    offset: int | None
+
+
+@dataclass(eq=False, kw_only=True)
+class UnionAllNode(PlanNode):
+    """``UNION ALL``: concatenates its ``Member`` children's outputs."""
+
+    op: str = field(default="UnionAll", init=False)
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
     """Yield ``expr`` and every sub-expression, depth-first."""
     yield expr
-    if isinstance(expr, Unary):
-        yield from walk(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, Between):
-        yield from walk(expr.operand)
-        yield from walk(expr.low)
-        yield from walk(expr.high)
-    elif isinstance(expr, InList):
-        yield from walk(expr.operand)
-        for item in expr.items:
-            yield from walk(item)
-    elif isinstance(expr, IsNull):
-        yield from walk(expr.operand)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            yield from walk(arg)
-    elif isinstance(expr, Aggregate):
-        if expr.argument is not None:
-            yield from walk(expr.argument)
-    elif isinstance(expr, Case):
-        for condition, value in expr.whens:
-            yield from walk(condition)
-            yield from walk(value)
-        if expr.default is not None:
-            yield from walk(expr.default)
+    if isinstance(expr, Aggregate):
+        children = [] if expr.argument is None else [expr.argument]
+    else:
+        children = _direct_children(expr)
+    for child in children:
+        yield from walk(child)
 
 
 def find_aggregates(expr: Expr) -> list[Aggregate]:
     """Return the aggregate nodes inside ``expr`` (not descending into them)."""
-    found: list[Aggregate] = []
-
-    def visit(node: Expr) -> None:
-        if isinstance(node, Aggregate):
-            found.append(node)
-            return
-        for child in _direct_children(node):
-            visit(child)
-
-    visit(expr)
-    return found
+    if isinstance(expr, Aggregate):
+        return [expr]
+    return [found for child in _direct_children(expr) for found in find_aggregates(child)]
 
 
 def _direct_children(expr: Expr) -> list[Expr]:
@@ -142,30 +235,252 @@ def source_tables(
     return source_tables(source.left) + [source.right]
 
 
-def plan(select: Select) -> QueryPlan:
-    """Validate ``select`` and produce a :class:`QueryPlan`."""
-    tables = source_tables(select.source)
-    bindings = [t.binding for t in tables]
+def _joins(source: TableRef | SubquerySource | Join) -> list[Join]:
+    """The joins of a FROM clause, innermost first."""
+    joins: list[Join] = []
+    while isinstance(source, Join):
+        joins.insert(0, source)
+        source = source.left
+    return joins
+
+
+def build(
+    statement: Select | Union,
+    source_info: Callable[[TableRef], SourceInfo],
+    options: PlannerOptions | None = None,
+) -> PlanNode:
+    """Validate and plan ``statement`` into its operator tree.
+
+    ``source_info`` describes each base table in FROM (and raises
+    :class:`SqlPlanError` for an unknown one).  ``options=None`` plans
+    naively: no pushdown, full scans, hash joins and no estimates.
+    """
+    if isinstance(statement, Union):
+        members = [
+            build_select(select, source_info, options, "Member", str(i + 1))
+            for i, select in enumerate(statement.selects)
+        ]
+        return UnionAllNode(
+            detail=f"{len(members)} members",
+            rows_est=None if options is None else sum(m.rows_est or 0 for m in members),
+            children=members,
+        )
+    return build_select(statement, source_info, options)
+
+
+#: The naive plan's decisions: every toggle off, so hash join is the fallback.
+_NAIVE = PlannerOptions.with_disabled(TOGGLE_NAMES)
+
+
+def build_select(
+    select: Select,
+    source_info: Callable[[TableRef], SourceInfo],
+    options: PlannerOptions | None = None,
+    op: str = "Execute",
+    detail: str = "",
+) -> SelectNode:
+    """Validate and plan one SELECT (derived tables included, each once)."""
+    sources = source_tables(select.source)
+    bindings = [t.binding for t in sources]
     if len(set(bindings)) != len(bindings):
         raise SqlPlanError(f"duplicate table binding in FROM: {bindings}")
-    for table in tables:
-        if isinstance(table, SubquerySource):
-            plan(table.select)  # validate derived tables eagerly
+    derived = {
+        s.binding: build_select(s.select, source_info, options, "Subquery", s.binding)
+        for s in sources
+        if isinstance(s, SubquerySource)
+    }
+    aggregates, is_aggregation = _validate(select)
+    output_names = _output_names(select)
+    infos: dict[str, SourceInfo | None] = {}
+    for source in sources:
+        if isinstance(source, TableRef):
+            infos[source.binding] = source_info(source)
+        elif isinstance(source.select.items, Star):
+            infos[source.binding] = None  # output columns unknown before execution
+        else:
+            child = derived[source.binding]
+            infos[source.binding] = SourceInfo(
+                rows=child.rows_est or 0, columns=child.output_names, column_kinds={}
+            )
+    known_columns: dict[str, tuple[str, ...] | None] = {
+        binding: (info.columns if info is not None else None)
+        for binding, info in infos.items()
+    }
+    needed = _resolve_columns(select, known_columns, output_names)
 
+    naive = options is None
+    opts = options or _NAIVE
+    nullable = {j.right.binding for j in _joins(select.source) if j.kind == "left"}
+
+    def attribute(ref: ColumnRef) -> str | None:
+        return _attribute_ref(ref, known_columns)
+
+    def stats_for(ref: ColumnRef):
+        binding = attribute(ref)
+        info = infos.get(binding) if binding is not None else None
+        if info is None or info.stats is None:
+            return None
+        return info.stats.column(ref.name)
+
+    # -- predicate pushdown ---------------------------------------------------
+    table_bindings = {s.binding for s in sources if isinstance(s, TableRef)}
+    pushed_by_binding: dict[str, list[Expr]] = {}
+    residual: list[Expr] = []
+    for conjunct in split_conjuncts(select.where) if select.where is not None else []:
+        binding = _conjunct_binding(conjunct, attribute) if opts.predicate_pushdown else None
+        if binding in table_bindings and binding not in nullable:
+            pushed_by_binding.setdefault(binding, []).append(conjunct)
+        else:
+            residual.append(conjunct)
+
+    # -- per-table access paths -----------------------------------------------
+    source_nodes: dict[str, list[PlanNode]] = {}
+    for source in sources:
+        binding = source.binding
+        if isinstance(source, SubquerySource):
+            source_nodes[binding] = [derived[binding]]
+            continue
+        info = infos[binding]
+        assert info is not None
+        pushed = pushed_by_binding.get(binding, [])
+        scan = ScanNode(binding=binding, table_name=source.name, stats_state=info.stats_state)
+        access_est = info.rows
+        if opts.index_scan and info.indexes and pushed:
+            chosen = _choose_index(pushed, binding, info, stats_for)
+            if chosen is not None:
+                index_conjunct, updates, access_est = chosen
+                for key, value in updates.items():
+                    setattr(scan, key, value)
+                pushed = [c for c in pushed if c is not index_conjunct]
+        scan.rows_est = access_est
+        combined_sel = 1.0
+        for conjunct in pushed_by_binding.get(binding, []):
+            combined_sel *= selectivity(conjunct, stats_for)
+        est_rows = max(int(round(info.rows * combined_sel)), 0)
+        if scan.access != "seq":
+            est_rows = min(est_rows, access_est)
+        if opts.projection_pushdown and needed is not None and info.columns:
+            keep = tuple(c for c in info.columns if c in needed.get(binding, set()))
+            if not keep:
+                keep = (info.columns[0],)
+            if set(keep) != set(info.columns):
+                scan.columns = keep
+        trivial = scan.access == "seq" and not pushed and scan.columns is None
+        scan.detail = source.name if trivial else scan.describe()
+        source_nodes[binding] = [scan]
+        if pushed:
+            predicate = and_combine(pushed)
+            assert predicate is not None
+            source_nodes[binding].append(
+                FilterNode(detail="pushed", predicate=predicate, rows_est=est_rows)
+            )
+
+    # -- join strategies and cardinalities ------------------------------------
+    def plan_from(source: TableRef | SubquerySource | Join) -> list[PlanNode]:
+        if not isinstance(source, Join):
+            return source_nodes[source.binding]
+        left = plan_from(source.left)
+        right = source_nodes[source.right.binding]
+        left_rows, right_rows = left[-1].rows_est or 0, right[-1].rows_est or 0
+        left_key, right_key = stats_for(source.on_left), stats_for(source.on_right)
+        est = estimate_join_rows(
+            left_rows,
+            right_rows,
+            source.kind,
+            left_key.n_distinct if left_key is not None else None,
+            right_key.n_distinct if right_key is not None else None,
+        )
+        index_kind = _join_index_kind(source, right, infos)
+        strategy, cost = choose_join_strategy(opts, left_rows, right_rows, index_kind)
+        node = JoinNode(
+            detail=source.kind.upper() + ("" if naive else f" strategy={strategy} cost={cost:.0f}"),
+            join=source,
+            n_left=len(left),
+            strategy=strategy,
+            rows_est=est,
+            children=left + right,
+        )
+        if strategy == "index" and isinstance(source.right, TableRef):
+            node.index_table = source.right.name
+            node.index_column = source.on_right.name
+        return [node]
+
+    # -- stages after FROM ----------------------------------------------------
+    stages = plan_from(select.source)
+    current = stages[-1].rows_est or 0
+    residual_where = and_combine(residual)
+    if residual_where is not None:
+        current = max(int(round(current * selectivity(residual_where, stats_for))), 0)
+        stages.append(FilterNode(predicate=residual_where, rows_est=current))
+    items = () if isinstance(select.items, Star) else select.items
+    outputs = tuple(zip(output_names, (item.expr for item in items)))
+    if is_aggregation:
+        current = _estimate_groups(select, current, stats_for)
+        if select.having is not None:
+            current = max(int(round(current * selectivity(select.having, stats_for))), 0)
+        stages.append(AggregateNode(
+            detail=f"keys={len(select.group_by)} aggregates={len(aggregates)}",
+            rows_est=current,
+            group_by=select.group_by,
+            aggregates=aggregates,
+            having=select.having,
+            outputs=outputs,
+        ))
+    else:
+        stages.append(ProjectNode(
+            detail=_project_detail(output_names), rows_est=current, outputs=outputs
+        ))
+    if select.distinct:
+        stages.append(DistinctNode(rows_est=current))
+    if select.order_by:
+        stages.append(SortNode(
+            detail=f"keys={len(select.order_by)}",
+            rows_est=current,
+            keys=select.order_by,
+            outputs=outputs,
+            distinct=select.distinct,
+        ))
+    if select.limit is not None or select.offset is not None:
+        current = max(current - (select.offset or 0), 0)
+        if select.limit is not None:
+            current = min(current, select.limit)
+        shown = "ALL" if select.limit is None else str(select.limit)
+        if select.offset:
+            shown += f" offset={select.offset}"
+        stages.append(LimitNode(
+            detail=shown, rows_est=current, limit=select.limit, offset=select.offset
+        ))
+    root = SelectNode(
+        op=op,
+        detail=detail,
+        rows_est=current,
+        children=stages,
+        select=select,
+        output_names=output_names,
+    )
+    if naive:
+        _clear_estimates(root)
+    return root
+
+
+def _clear_estimates(node: PlanNode) -> None:
+    node.rows_est = None
+    for child in node.children:
+        _clear_estimates(child)
+
+
+def _validate(select: Select) -> tuple[tuple[Aggregate, ...], bool]:
+    """Check aggregate placement; return the distinct aggregates and whether
+    the query aggregates."""
     if select.where is not None and find_aggregates(select.where):
         raise SqlPlanError("aggregate functions are not allowed in WHERE")
     for expr in select.group_by:
         if find_aggregates(expr):
             raise SqlPlanError("aggregate functions are not allowed in GROUP BY")
 
-    aggregates: list[Aggregate] = []
-    if not isinstance(select.items, Star):
-        for item in select.items:
-            aggregates.extend(find_aggregates(item.expr))
-    if select.having is not None:
-        aggregates.extend(find_aggregates(select.having))
-    for order in select.order_by:
-        aggregates.extend(find_aggregates(order.expr))
+    items = () if isinstance(select.items, Star) else select.items
+    exprs = [*(item.expr for item in items), select.having, *(o.expr for o in select.order_by)]
+    aggregates = [a for expr in exprs if expr is not None for a in find_aggregates(expr)]
 
     is_aggregation = bool(select.group_by) or bool(aggregates)
     if is_aggregation and isinstance(select.items, Star):
@@ -181,20 +496,76 @@ def plan(select: Select) -> QueryPlan:
         if aggregate.argument is not None and find_aggregates(aggregate.argument):
             raise SqlPlanError("nested aggregate functions are not allowed")
 
-    output_names = _output_names(select)
-    deduped: list[Aggregate] = []
-    for aggregate in aggregates:
-        if aggregate not in deduped:
-            deduped.append(aggregate)
-    return QueryPlan(
-        select=select,
-        is_aggregation=is_aggregation,
-        aggregates=tuple(deduped),
-        output_names=output_names,
-        table_names=tuple(
-            t.name for t in tables if isinstance(t, TableRef)
-        ),
-    )
+    return tuple(dict.fromkeys(aggregates)), is_aggregation
+
+
+def _resolve_columns(
+    select: Select,
+    known_columns: dict[str, tuple[str, ...] | None],
+    output_names: tuple[str, ...],
+) -> dict[str, set[str]] | None:
+    """Resolve every column reference against FROM, as execution will.
+
+    Raises execution's error for a reference FROM cannot resolve, except
+    that a bare name in GROUP BY, HAVING or ORDER BY may name a
+    select-list output.  Returns the columns each binding must provide,
+    or None — no column pruning — for ``SELECT *`` and for references
+    only a ``SELECT *`` derived table could own (its columns are known
+    once it runs).
+    """
+    needed: dict[str, set[str]] = {}
+    unresolved = isinstance(select.items, Star)
+
+    def resolve(
+        ref: ColumnRef,
+        scope: dict[str, tuple[str, ...] | None],
+        joined: bool,
+        alias_ok: bool = False,
+    ) -> None:
+        nonlocal unresolved
+        binding = _attribute_ref(ref, scope)
+        if binding is not None:
+            needed.setdefault(binding, set()).add(ref.name)
+        elif not (alias_ok and ref.table is None and ref.name in output_names):
+            _raise_unresolved(ref, scope, joined)
+            unresolved = True
+
+    for join in _joins(select.source):  # each key resolves within its own side
+        left = {t.binding: known_columns[t.binding] for t in source_tables(join.left)}
+        resolve(join.on_left, left, True)
+        resolve(join.on_right, {join.right.binding: known_columns[join.right.binding]}, True)
+    items = () if isinstance(select.items, Star) else select.items
+    clauses = [
+        (False, [select.where, *(item.expr for item in items)]),
+        (True, [*select.group_by, select.having, *(o.expr for o in select.order_by)]),
+    ]
+    in_join = isinstance(select.source, Join)
+    for alias_ok, exprs in clauses:
+        for expr in exprs:
+            for ref in walk(expr) if expr is not None else ():
+                if isinstance(ref, ColumnRef):
+                    resolve(ref, known_columns, in_join, alias_ok)
+    return None if unresolved else needed
+
+
+def _raise_unresolved(
+    ref: ColumnRef, scope: dict[str, tuple[str, ...] | None], joined: bool
+) -> None:
+    """Raise execution's error for ``ref``, which no binding in ``scope``
+    owns alone — unless a ``SELECT *`` derived table might own it.
+
+    ``joined`` scopes name columns ``binding.column``; a single source
+    resolves bare names and checks the qualifier.
+    """
+    if None in scope.values():
+        return
+    if not joined and ref.table is not None and ref.table not in scope:
+        raise SqlPlanError(f"unknown table qualifier {ref.table!r}")
+    owners = [b for b, columns in scope.items() if columns and ref.name in columns]
+    if ref.table is None and len(owners) > 1:
+        matches = [f"{binding}.{ref.name}" for binding in owners]
+        raise SqlPlanError(f"ambiguous column {ref.name!r}: {matches}")
+    raise SqlPlanError(f"unknown column {ref.display!r}")
 
 
 def _output_names(select: Select) -> tuple[str, ...]:
@@ -232,7 +603,12 @@ def _default_name(item: SelectItem, index: int) -> str:
     return f"col_{index}"
 
 
-# -- physical planning ---------------------------------------------------------
+def _project_detail(names: tuple[str, ...]) -> str:
+    if not names:
+        return "*"
+    if len(names) > 4:
+        return f"[{', '.join(names[:4])}, ... +{len(names) - 4}]"
+    return f"[{', '.join(names)}]"
 
 
 @dataclass(frozen=True)
@@ -245,75 +621,6 @@ class SourceInfo:
     stats: TableStatistics | None = None
     stats_state: str = "absent"  # "fresh" | "stale" | "absent"
     indexes: dict[str, str] = field(default_factory=dict)  # column -> index kind
-
-
-@dataclass
-class ScanPlan:
-    """Access path for one base table in FROM."""
-
-    binding: str
-    table_name: str
-    access: str = "seq"  # "seq" | "index-eq" | "index-range"
-    index_column: str | None = None
-    index_kind: str | None = None
-    index_value: Any = None
-    index_low: Any = None
-    index_high: Any = None
-    index_include_low: bool = True
-    index_include_high: bool = True
-    pushed: tuple[Expr, ...] = ()  # conjuncts evaluated right after the access path
-    columns: tuple[str, ...] | None = None  # projection pushdown; None keeps all
-    base_rows: int = 0
-    access_est_rows: int = 0  # after the access path, before pushed filters
-    est_rows: int = 0  # after access path and pushed filters
-    stats_state: str = "absent"
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when this plan degenerates to the unoptimized full scan."""
-        return self.access == "seq" and not self.pushed and self.columns is None
-
-    def describe(self) -> str:
-        """Human-readable access-path summary for EXPLAIN."""
-        parts = [self.table_name]
-        if self.access == "index-eq":
-            parts.append(f"via {self.index_column}[{self.index_kind}] = {self.index_value!r}")
-        elif self.access == "index-range":
-            low = "-inf" if self.index_low is None else repr(self.index_low)
-            high = "+inf" if self.index_high is None else repr(self.index_high)
-            left = "[" if self.index_include_low else "("
-            right = "]" if self.index_include_high else ")"
-            parts.append(f"via {self.index_column}[{self.index_kind}] {left}{low}, {high}{right}")
-        if self.columns is not None:
-            parts.append(f"cols={len(self.columns)}")
-        parts.append(f"stats={self.stats_state}")
-        return " ".join(parts)
-
-
-@dataclass
-class JoinPlan:
-    """Physical strategy and cardinality estimate for one join node."""
-
-    strategy: str  # "hash" | "sort_merge" | "index"
-    est_rows: int
-    cost: float
-    index_table: str | None = None  # catalog name owning the probe index
-    index_column: str | None = None
-
-    def describe(self) -> str:
-        return f"strategy={self.strategy} cost={self.cost:.0f}"
-
-
-@dataclass
-class PhysicalPlan:
-    """The optimizer's decisions for one SELECT."""
-
-    options: PlannerOptions
-    scans: dict[str, ScanPlan] = field(default_factory=dict)  # by binding
-    subquery_rows: dict[str, int] = field(default_factory=dict)  # by binding
-    joins: dict[Join, JoinPlan] = field(default_factory=dict)
-    residual_where: Expr | None = None
-    estimates: dict[str, int] = field(default_factory=dict)
 
 
 def split_conjuncts(expr: Expr) -> list[Expr]:
@@ -331,170 +638,6 @@ def and_combine(conjuncts: list[Expr]) -> Expr | None:
     for conjunct in conjuncts[1:]:
         combined = Binary("AND", combined, conjunct)
     return combined
-
-
-def optimize(
-    query_plan: QueryPlan,
-    source_info: Callable[[TableRef], SourceInfo | None],
-    options: PlannerOptions | None = None,
-) -> PhysicalPlan | None:
-    """Produce a :class:`PhysicalPlan` for ``query_plan``.
-
-    ``source_info`` maps each base :class:`TableRef` to its
-    :class:`SourceInfo`; returning None for any table (e.g. it is not in
-    the catalog) aborts optimization so the executor's legacy path can
-    surface its usual error.
-    """
-    options = options or PlannerOptions()
-    select = query_plan.select
-    sources = source_tables(select.source)
-    infos: dict[str, SourceInfo | None] = {}
-    physical = PhysicalPlan(options=options)
-    for source in sources:
-        if isinstance(source, TableRef):
-            info = source_info(source)
-            if info is None:
-                return None
-            infos[source.binding] = info
-        else:
-            inner_plan = plan(source.select)
-            inner_physical = optimize(inner_plan, source_info, options)
-            est = inner_physical.estimates.get("final", 0) if inner_physical else 0
-            physical.subquery_rows[source.binding] = est
-            if isinstance(source.select.items, Star):
-                # Output columns unknown before execution; treat as opaque.
-                infos[source.binding] = None
-            else:
-                infos[source.binding] = SourceInfo(
-                    rows=est,
-                    columns=inner_plan.output_names,
-                    column_kinds={},
-                    stats_state="absent",
-                )
-
-    known_columns: dict[str, tuple[str, ...] | None] = {
-        binding: (info.columns if info is not None else None)
-        for binding, info in infos.items()
-    }
-    nullable = _nullable_bindings(select.source)
-
-    def attribute(ref: ColumnRef) -> str | None:
-        return _attribute_ref(ref, known_columns)
-
-    def stats_for(ref: ColumnRef):
-        binding = attribute(ref)
-        if binding is None:
-            return None
-        info = infos.get(binding)
-        if info is None or info.stats is None:
-            return None
-        return info.stats.column(ref.name)
-
-    # -- predicate pushdown ---------------------------------------------------
-    table_bindings = {s.binding for s in sources if isinstance(s, TableRef)}
-    pushed_by_binding: dict[str, list[Expr]] = {}
-    residual: list[Expr] = []
-    if select.where is not None:
-        conjuncts = split_conjuncts(select.where)
-        if options.predicate_pushdown:
-            for conjunct in conjuncts:
-                binding = _conjunct_binding(conjunct, attribute)
-                if binding in table_bindings and binding not in nullable:
-                    pushed_by_binding.setdefault(binding, []).append(conjunct)
-                else:
-                    residual.append(conjunct)
-        else:
-            residual = conjuncts
-    physical.residual_where = and_combine(residual)
-
-    # -- projection pushdown --------------------------------------------------
-    needed = (
-        _needed_columns(select, query_plan, known_columns)
-        if options.projection_pushdown
-        else None
-    )
-
-    # -- per-table access paths -----------------------------------------------
-    for source in sources:
-        if not isinstance(source, TableRef):
-            continue
-        binding = source.binding
-        info = infos[binding]
-        assert info is not None
-        pushed = pushed_by_binding.get(binding, [])
-        scan = ScanPlan(
-            binding=binding,
-            table_name=source.name,
-            base_rows=info.rows,
-            access_est_rows=info.rows,
-            stats_state=info.stats_state,
-        )
-        if options.index_scan and info.indexes and pushed:
-            chosen = _choose_index(pushed, binding, info, stats_for)
-            if chosen is not None:
-                index_conjunct, updates, access_est = chosen
-                for key, value in updates.items():
-                    setattr(scan, key, value)
-                scan.access_est_rows = access_est
-                pushed = [c for c in pushed if c is not index_conjunct]
-        scan.pushed = tuple(pushed)
-        combined_sel = 1.0
-        for conjunct in pushed_by_binding.get(binding, []):
-            combined_sel *= selectivity(conjunct, stats_for)
-        scan.est_rows = max(int(round(info.rows * combined_sel)), 0)
-        if scan.access != "seq":
-            scan.est_rows = min(scan.est_rows, scan.access_est_rows)
-        if needed is not None and info.columns:
-            keep = tuple(c for c in info.columns if c in needed.get(binding, set()))
-            if not keep:
-                keep = (info.columns[0],)
-            if set(keep) != set(info.columns):
-                scan.columns = keep
-        physical.scans[binding] = scan
-
-    # -- join strategies and cardinalities ------------------------------------
-    source_est = _walk_joins(select.source, physical, infos, attribute, options)
-
-    # -- stage estimates ------------------------------------------------------
-    estimates = physical.estimates
-    estimates["source"] = source_est
-    current = source_est
-    if physical.residual_where is not None:
-        current = max(int(round(current * selectivity(physical.residual_where, stats_for))), 0)
-        estimates["filter"] = current
-    if query_plan.is_aggregation:
-        current = _estimate_groups(select, current, stats_for)
-        if select.having is not None:
-            current = max(int(round(current * selectivity(select.having, stats_for))), 0)
-        estimates["aggregate"] = current
-    estimates["project"] = current
-    if select.distinct:
-        estimates["distinct"] = current
-    if select.order_by:
-        estimates["sort"] = current
-    if select.limit is not None or select.offset is not None:
-        start = select.offset or 0
-        remaining = max(current - start, 0)
-        if select.limit is not None:
-            remaining = min(remaining, select.limit)
-        current = remaining
-        estimates["limit"] = current
-    estimates["final"] = current
-    return physical
-
-
-def _nullable_bindings(source: TableRef | SubquerySource | Join) -> set[str]:
-    """Bindings on the preserved-NULL side of a LEFT JOIN (no pushdown)."""
-    nullable: set[str] = set()
-
-    def visit(node: TableRef | SubquerySource | Join) -> None:
-        if isinstance(node, Join):
-            visit(node.left)
-            if node.kind == "left":
-                nullable.add(node.right.binding)
-
-    visit(source)
-    return nullable
 
 
 def _attribute_ref(
@@ -641,122 +784,8 @@ def _index_candidate(
     return None
 
 
-def _needed_columns(
-    select: Select,
-    query_plan: QueryPlan,
-    known_columns: dict[str, tuple[str, ...] | None],
-) -> dict[str, set[str]] | None:
-    """Columns each binding must provide, or None to disable pruning.
-
-    Pruning is disabled for ``SELECT *`` and whenever any referenced
-    column cannot be attributed to exactly one binding (ambiguous or
-    unknown references keep their original error behavior; aliases used
-    in GROUP BY / HAVING / ORDER BY are skipped because their underlying
-    expressions are collected from the select list).
-    """
-    if isinstance(select.items, Star):
-        return None
-    aliases = set(query_plan.output_names)
-    refs: list[ColumnRef] = []
-    alias_refs: list[ColumnRef] = []
-
-    def collect(expr: Expr, allow_aliases: bool) -> None:
-        for node in walk(expr):
-            if isinstance(node, ColumnRef):
-                target = alias_refs if allow_aliases else refs
-                target.append(node)
-
-    for item in select.items:
-        collect(item.expr, allow_aliases=False)
-    if select.where is not None:
-        collect(select.where, allow_aliases=False)
-    for expr in select.group_by:
-        collect(expr, allow_aliases=True)
-    if select.having is not None:
-        collect(select.having, allow_aliases=True)
-    for order in select.order_by:
-        collect(order.expr, allow_aliases=True)
-    join_refs = _join_key_refs(select.source)
-
-    needed: dict[str, set[str]] = {}
-    for ref in refs + join_refs:
-        binding = _attribute_ref(ref, known_columns)
-        if binding is None:
-            return None
-        needed.setdefault(binding, set()).add(ref.name)
-    for ref in alias_refs:
-        binding = _attribute_ref(ref, known_columns)
-        if binding is None:
-            if ref.table is None and ref.name in aliases:
-                continue  # output alias; its expression is already collected
-            return None
-        needed.setdefault(binding, set()).add(ref.name)
-    return needed
-
-
-def _join_key_refs(source: TableRef | SubquerySource | Join) -> list[ColumnRef]:
-    refs: list[ColumnRef] = []
-
-    def visit(node: TableRef | SubquerySource | Join) -> None:
-        if isinstance(node, Join):
-            visit(node.left)
-            refs.append(node.on_left)
-            refs.append(node.on_right)
-
-    visit(source)
-    return refs
-
-
-def _walk_joins(
-    source: TableRef | SubquerySource | Join,
-    physical: PhysicalPlan,
-    infos: dict[str, SourceInfo | None],
-    attribute: Callable[[ColumnRef], str | None],
-    options: PlannerOptions,
-) -> int:
-    """Estimate cardinality bottom-up and pick a strategy per join node."""
-    if isinstance(source, TableRef):
-        return physical.scans[source.binding].est_rows
-    if isinstance(source, SubquerySource):
-        return physical.subquery_rows.get(source.binding, 0)
-    left_rows = _walk_joins(source.left, physical, infos, attribute, options)
-    right_binding = source.right.binding
-    if isinstance(source.right, TableRef):
-        right_rows = physical.scans[right_binding].est_rows
-    else:
-        right_rows = physical.subquery_rows.get(right_binding, 0)
-    left_distinct = _key_distinct(source.on_left, infos, attribute)
-    right_distinct = _key_distinct(source.on_right, infos, attribute)
-    est = estimate_join_rows(
-        left_rows, right_rows, source.kind, left_distinct, right_distinct
-    )
-    index_kind = _join_index_kind(source, physical, infos)
-    strategy, cost = choose_join_strategy(options, left_rows, right_rows, index_kind)
-    join_plan = JoinPlan(strategy=strategy, est_rows=est, cost=cost)
-    if strategy == "index" and isinstance(source.right, TableRef):
-        join_plan.index_table = source.right.name
-        join_plan.index_column = source.on_right.name
-    physical.joins[source] = join_plan
-    return est
-
-
-def _key_distinct(
-    ref: ColumnRef,
-    infos: dict[str, SourceInfo | None],
-    attribute: Callable[[ColumnRef], str | None],
-) -> int | None:
-    binding = attribute(ref)
-    if binding is None:
-        return None
-    info = infos.get(binding)
-    if info is None or info.stats is None:
-        return None
-    column = info.stats.column(ref.name)
-    return column.n_distinct if column is not None else None
-
-
 def _join_index_kind(
-    join: Join, physical: PhysicalPlan, infos: dict[str, SourceInfo | None]
+    join: Join, right: list[PlanNode], infos: dict[str, SourceInfo | None]
 ) -> str | None:
     """Kind of a usable right-side join-key index, or None.
 
@@ -764,18 +793,17 @@ def _join_index_kind(
     must be a bare table scanned without an index access path or pushed
     filters (column pruning keeps row positions valid).
     """
-    if not isinstance(join.right, TableRef):
+    if not isinstance(join.right, TableRef) or len(right) != 1:
         return None
-    scan = physical.scans.get(join.right.binding)
-    if scan is None or scan.access != "seq" or scan.pushed:
+    scan = right[0]
+    if not isinstance(scan, ScanNode) or scan.access != "seq":
         return None
     info = infos.get(join.right.binding)
     if info is None:
         return None
-    key = join.on_right.name
     if join.on_right.table is not None and join.on_right.table != join.right.binding:
         return None
-    return info.indexes.get(key)
+    return info.indexes.get(join.on_right.name)
 
 
 def _estimate_groups(

@@ -7,13 +7,18 @@ matrix below runs every query under every engine variant and compares
 the full row list plus the per-column numpy dtypes.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql import PlannerOptions, QueryEngine
+from repro.sql import PlannerOptions, QueryEngine, format_plan
 from repro.table import Table
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
 
 QUERIES = [
     "SELECT * FROM blocks WHERE height > 12",
@@ -103,6 +108,59 @@ class TestOptimizerEquivalence:
         plain = snapshot(engine.execute(sql))
         traced, _ = engine.explain_analyze(sql)
         assert snapshot(traced) == plain
+
+
+#: Plans whose subtrees EXPLAIN used to hide: UNION ALL members and a
+#: derived table nested two deep.
+NESTED_QUERIES = [
+    "SELECT producer FROM blocks WHERE height < 3 UNION ALL "
+    "SELECT producer FROM pools WHERE region = 'x'",
+    "SELECT MAX(n) AS biggest FROM (SELECT producer, n FROM "
+    "(SELECT producer, COUNT(*) AS n FROM blocks GROUP BY producer) inner1 "
+    "WHERE n > 1) outer1",
+]
+
+#: Execution-only statistics on an EXPLAIN ANALYZE line.
+_ACTUALS = re.compile(r"\s(?:time|rows|in|out|bytes|spill)=\S+")
+
+
+def plan_shape(text: str) -> list[str]:
+    """Plan lines as label plus ``est=``, actuals and padding dropped."""
+    return [" ".join(_ACTUALS.sub("", line).split()) for line in text.splitlines()]
+
+
+class TestExplainIsTheExecutedTree:
+    @pytest.mark.parametrize("sql", QUERIES + NESTED_QUERIES)
+    def test_explain_matches_explain_analyze(self, sql):
+        for name, engine in variant_engines():
+            explained = engine.explain(sql).split("-- physical plan (estimated rows) --\n")[1]
+            _, root = engine.explain_analyze(sql)
+            executed = root.children[-1]  # after Parse and Plan
+            assert plan_shape(format_plan(executed)) == plan_shape(explained), name
+
+
+def golden_explain(variant: str, queries: list[str]) -> str:
+    engine = dict(variant_engines())[variant]
+    return "".join(f"-- {sql}\n{engine.explain(sql)}\n\n" for sql in queries)
+
+
+class TestGoldenExplain:
+    """EXPLAIN text, byte for byte: the single-SELECT matrix queries as
+    the pre-tree planner printed them, plus the derived-table query."""
+
+    @pytest.mark.parametrize("variant", ["stats-and-indexes", "no-stats-no-index"])
+    def test_single_select_text(self, variant):
+        single = [sql for sql in QUERIES if "(SELECT" not in sql]
+        expected = (GOLDEN / f"explain_{variant}.txt").read_text()
+        assert golden_explain(variant, single) == expected
+
+    def test_derived_table_text(self):
+        derived = [sql for sql in QUERIES if "(SELECT" in sql]
+        text = "".join(
+            golden_explain(variant, derived)
+            for variant in ("stats-and-indexes", "no-stats-no-index")
+        )
+        assert text == (GOLDEN / "explain_derived.txt").read_text()
 
 
 @st.composite

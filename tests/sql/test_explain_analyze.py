@@ -3,13 +3,12 @@
 import pytest
 
 from repro import obs
-from repro.sql import QueryEngine, format_plan
-from repro.sql.analyze import ExecutionTrace, stage_op
+from repro.errors import SqlPlanError
+from repro.sql import QueryEngine, format_plan, planner
 from repro.table import Table
 
 
-@pytest.fixture
-def engine():
+def tables():
     blocks = Table(
         {
             "height": list(range(10)),
@@ -17,7 +16,12 @@ def engine():
         }
     )
     extra = Table({"producer": ["a", "b", "c"], "region": ["x", "y", "x"]})
-    return QueryEngine({"blocks": blocks, "pools": extra})
+    return {"blocks": blocks, "pools": extra}
+
+
+@pytest.fixture
+def engine():
+    return QueryEngine(tables())
 
 
 def ops(node, acc=None):
@@ -102,30 +106,48 @@ class TestFormatPlan:
         assert any("└─" in line for line in lines)
 
 
+def find(node, op):
+    """The first node named ``op`` in preorder."""
+    if node.op == op:
+        return node
+    for child in node.children:
+        found = find(child, op)
+        if found is not None:
+            return found
+    return None
+
+
 class TestStageOpRouting:
-    def test_collector_takes_priority(self):
-        trace = ExecutionTrace()
-        with stage_op(trace, "Scan", "blocks") as op:
-            op.rows_out = 7
-        (node,) = trace.root.children
-        assert node.op == "Scan"
-        assert node.rows_out == 7
-        assert node.seconds >= 0
+    """Where each operator's statistics go: the EXPLAIN ANALYZE tree,
+    ``sql.<Op>`` spans while tracing, or nowhere."""
 
-    def test_null_op_when_nothing_active(self):
-        assert not obs.tracing_enabled()
-        with stage_op(None, "Scan") as op:
-            op.rows_in = 5
-            op.rows_out = 3
-        # accepts writes, records nothing
-
-    def test_obs_spans_when_tracing_enabled(self):
+    def test_collector_takes_priority(self, engine):
         tracer = obs.enable_tracing()
         try:
-            with stage_op(None, "Scan", "blocks") as op:
-                op.rows_out = 4
-            (span,) = tracer.spans
-            assert span.name == "sql.Scan"
+            _, root = engine.explain_analyze("SELECT * FROM blocks")
+            scan = find(root, "Scan")
+            assert scan.rows_out == 10
+            assert scan.seconds >= 0
+            assert "sql.Scan" not in {s.name for s in tracer.spans}
+        finally:
+            obs.disable_tracing()
+
+    def test_null_op_when_nothing_active(self, engine):
+        assert not obs.tracing_enabled()
+        tracer = obs.get_tracer()
+        tracer.reset()
+        result = engine.execute("SELECT * FROM blocks WHERE height > 4")
+        assert result.num_rows == 5
+        assert tracer.spans == []
+        assert tracer.metrics.snapshot()["counters"] == {}
+
+    def test_obs_spans_when_tracing_enabled(self, engine):
+        tracer = obs.enable_tracing()
+        try:
+            engine.execute("SELECT * FROM blocks WHERE height > 5")
+            (span,) = [s for s in tracer.spans if s.name == "sql.Scan"]
+            assert span.attrs["rows_out"] == 10
+            (span,) = [s for s in tracer.spans if s.name == "sql.Filter"]
             assert span.attrs["rows_out"] == 4
         finally:
             obs.disable_tracing()
@@ -141,3 +163,46 @@ class TestStageOpRouting:
             assert tracer.metrics.snapshot()["counters"]["sql.queries"] == 1.0
         finally:
             obs.disable_tracing()
+
+
+class TestOneTreePerQuery:
+    def test_each_select_is_built_once(self, engine, monkeypatch):
+        calls = []
+        real = planner.build_select
+
+        def counting(select, *args, **kwargs):
+            calls.append(select)
+            return real(select, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "build_select", counting)
+        result = engine.execute(
+            "SELECT MAX(n) AS biggest FROM (SELECT producer, n FROM "
+            "(SELECT producer, COUNT(*) AS n FROM blocks GROUP BY producer) inner1 "
+            "WHERE n > 1) outer1"
+        )
+        assert result.to_rows() == [{"biggest": 5}]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("optimizer", [True, False])
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("SELECT producer FROM nosuch", "unknown table 'nosuch'"),
+            ("SELECT nocol FROM blocks", "unknown column 'nocol'"),
+            ("SELECT height FROM blocks WHERE nocol > 1", "unknown column 'nocol'"),
+            ("SELECT b.nocol FROM blocks b JOIN pools p ON b.producer = p.producer",
+             "unknown column 'b.nocol'"),
+            ("SELECT producer, SUM(nocol) AS s FROM blocks GROUP BY producer",
+             "unknown column 'nocol'"),
+            ("SELECT height FROM blocks ORDER BY nocol", "unknown column 'nocol'"),
+            ("SELECT d.x FROM (SELECT nocol AS x FROM blocks) d", "unknown column 'nocol'"),
+        ],
+    )
+    def test_explain_rejects_what_execute_rejects(self, sql, message, optimizer):
+        engine = QueryEngine(tables(), optimizer=optimizer)
+        with pytest.raises(SqlPlanError) as executed:
+            engine.execute(sql)
+        with pytest.raises(SqlPlanError) as explained:
+            engine.explain(sql)
+        assert message in str(executed.value)
+        assert str(explained.value) == str(executed.value)

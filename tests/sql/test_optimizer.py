@@ -12,7 +12,6 @@ from repro.sql.cost import (
     cost_sort_merge_join,
 )
 from repro.sql.parser import parse
-from repro.sql.planner import plan
 from repro.table import Table
 
 
@@ -35,9 +34,37 @@ def engine() -> QueryEngine:
 
 
 def physical_for(eng: QueryEngine, sql: str):
-    physical = eng._optimize(plan(parse(sql)))
-    assert physical is not None
-    return physical
+    """The operator tree ``eng`` plans for ``sql``."""
+    return eng._build(parse(sql))
+
+
+def nodes(tree, op: str) -> list:
+    """Every node named ``op``, in preorder."""
+    found = [tree] if tree.op == op else []
+    for child in tree.children:
+        found.extend(nodes(child, op))
+    return found
+
+
+def scan(tree, binding: str):
+    (node,) = [n for n in nodes(tree, "Scan") if n.binding == binding]
+    return node
+
+
+def pushed_filter(tree, binding: str):
+    """The filter pushed into ``binding``'s scan, or None."""
+    for parent in [tree, *nodes(tree, "Join"), *nodes(tree, "Subquery")]:
+        for i, child in enumerate(parent.children[:-1]):
+            follower = parent.children[i + 1]
+            if child is scan(tree, binding) and follower.detail == "pushed":
+                return follower
+    return None
+
+
+def scan_rows(tree, binding: str) -> int:
+    """Estimated rows out of ``binding``'s access path and pushed filter."""
+    node = pushed_filter(tree, binding) or scan(tree, binding)
+    return node.rows_est
 
 
 class TestAnalyzeStatement:
@@ -66,8 +93,8 @@ class TestAnalyzeStatement:
         assert engine.stats_state("blocks") == "stale"
         # Stale statistics still plan (ratios against the new row count).
         physical = physical_for(engine, "SELECT * FROM blocks WHERE height < 10")
-        assert physical.scans["blocks"].stats_state == "stale"
-        assert physical.scans["blocks"].base_rows == 200
+        assert scan(physical, "blocks").stats_state == "stale"
+        assert scan(physical, "blocks").rows_est == 200
 
 
 class TestScanPlanning:
@@ -75,10 +102,9 @@ class TestScanPlanning:
         physical = physical_for(
             engine, "SELECT producer FROM blocks WHERE producer = 'p1'"
         )
-        scan = physical.scans["blocks"]
-        assert scan.stats_state == "absent"
+        assert scan(physical, "blocks").stats_state == "absent"
         # Default equality selectivity is 0.1.
-        assert scan.est_rows == 10
+        assert scan_rows(physical, "blocks") == 10
 
     def test_fresh_stats_improve_estimate(self, engine):
         engine.execute("ANALYZE blocks")
@@ -86,30 +112,29 @@ class TestScanPlanning:
             engine, "SELECT producer FROM blocks WHERE producer = 'p1'"
         )
         # p1 appears in ceil(100/7) rows; the MCV estimate is exact.
-        assert physical.scans["blocks"].est_rows == 15
+        assert scan_rows(physical, "blocks") == 15
 
     def test_selective_equality_uses_index(self, engine):
         engine.execute("ANALYZE blocks")
         engine.create_index("blocks", "height", "sorted")
         physical = physical_for(engine, "SELECT * FROM blocks WHERE height = 42")
-        scan = physical.scans["blocks"]
-        assert scan.access == "index-eq"
-        assert scan.index_column == "height"
-        assert scan.pushed == ()
+        assert scan(physical, "blocks").access == "index-eq"
+        assert scan(physical, "blocks").index_column == "height"
+        assert pushed_filter(physical, "blocks") is None
 
     def test_unselective_predicate_keeps_full_scan(self, engine):
         engine.execute("ANALYZE blocks")
         engine.create_index("blocks", "height", "sorted")
         physical = physical_for(engine, "SELECT * FROM blocks WHERE height >= 1")
-        assert physical.scans["blocks"].access == "seq"
+        assert scan(physical, "blocks").access == "seq"
 
     def test_range_needs_sorted_index(self, engine):
         engine.execute("ANALYZE blocks")
         engine.create_index("blocks", "height", "hash")
         physical = physical_for(engine, "SELECT * FROM blocks WHERE height < 3")
-        assert physical.scans["blocks"].access == "seq"
+        assert scan(physical, "blocks").access == "seq"
         physical = physical_for(engine, "SELECT * FROM blocks WHERE height = 3")
-        assert physical.scans["blocks"].access == "index-eq"
+        assert scan(physical, "blocks").access == "index-eq"
 
     def test_index_scan_toggle(self, engine):
         eng = QueryEngine(
@@ -119,7 +144,7 @@ class TestScanPlanning:
         eng.execute("ANALYZE blocks")
         eng.create_index("blocks", "height", "sorted")
         physical = physical_for(eng, "SELECT * FROM blocks WHERE height = 42")
-        assert physical.scans["blocks"].access == "seq"
+        assert scan(physical, "blocks").access == "seq"
 
     def test_all_duplicate_index_column_not_selective(self, engine):
         table = Table({"x": [7] * 100, "y": list(range(100))})
@@ -128,27 +153,27 @@ class TestScanPlanning:
         eng.create_index("t", "x", "sorted")
         # x = 7 matches everything; the index cannot beat a full scan.
         physical = physical_for(eng, "SELECT y FROM t WHERE x = 7")
-        assert physical.scans["t"].access == "seq"
+        assert scan(physical, "t").access == "seq"
         # ... but a miss value is perfectly selective.
         physical = physical_for(eng, "SELECT y FROM t WHERE x = 8")
-        assert physical.scans["t"].access == "index-eq"
+        assert scan(physical, "t").access == "index-eq"
         assert eng.execute("SELECT y FROM t WHERE x = 8").num_rows == 0
 
     def test_empty_table(self, engine):
         eng = QueryEngine({"empty": Table({"x": [], "name": []})})
         eng.execute("ANALYZE empty")
         physical = physical_for(eng, "SELECT * FROM empty WHERE x = 1")
-        assert physical.scans["empty"].base_rows == 0
-        assert physical.estimates["final"] == 0
+        assert scan(physical, "empty").rows_est == 0
+        assert physical.rows_est == 0
         assert eng.execute("SELECT * FROM empty WHERE x = 1").num_rows == 0
 
     def test_projection_pushdown_prunes_columns(self, engine):
         physical = physical_for(engine, "SELECT height FROM blocks WHERE height > 1000")
-        assert physical.scans["blocks"].columns == ("height",)
+        assert scan(physical, "blocks").columns == ("height",)
 
     def test_projection_pushdown_disabled_for_star(self, engine):
         physical = physical_for(engine, "SELECT * FROM blocks WHERE height > 1000")
-        assert physical.scans["blocks"].columns is None
+        assert scan(physical, "blocks").columns is None
 
     def test_no_pushdown_into_left_join_right_side(self, engine):
         physical = physical_for(
@@ -156,8 +181,8 @@ class TestScanPlanning:
             "SELECT b.height FROM blocks b LEFT JOIN pools p "
             "ON b.producer = p.producer WHERE p.region = 'r'",
         )
-        assert physical.scans["p"].pushed == ()
-        assert physical.residual_where is not None
+        assert pushed_filter(physical, "p") is None
+        assert [n.detail for n in physical.children if n.op == "Filter"] == [""]
 
 
 class TestJoinStrategies:
@@ -179,7 +204,7 @@ class TestJoinStrategies:
             )
             eng.create_index("pools", "producer", "hash")
             physical = physical_for(eng, sql)
-            (join_plan,) = physical.joins.values()
+            (join_plan,) = nodes(physical, "Join")
             assert join_plan.strategy == expected, disabled
             # Results are identical no matter the strategy.
             assert (
@@ -203,7 +228,7 @@ class TestJoinStrategies:
             "SELECT b.height FROM blocks b JOIN pools p "
             "ON b.producer = p.producer WHERE p.region = 'nope'",
         )
-        (join_plan,) = physical.joins.values()
+        (join_plan,) = nodes(physical, "Join")
         assert join_plan.strategy != "index"
 
     def test_cost_model_orderings(self):
@@ -265,7 +290,7 @@ class TestIndexMaintenance:
         engine.create_index("blocks", "height", "sorted")
         engine.register("blocks", blocks_table(10))
         physical = physical_for(engine, "SELECT * FROM blocks WHERE height = 3")
-        assert physical.scans["blocks"].access == "index-eq"
+        assert scan(physical, "blocks").access == "index-eq"
         assert engine.execute("SELECT * FROM blocks WHERE height = 3").num_rows == 1
 
     def test_register_drops_vanished_column_spec(self, engine, caplog):

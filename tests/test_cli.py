@@ -516,6 +516,24 @@ class TestQueryOptimizerFlags:
         assert "strategy=" in out
         assert "cost=" in out
 
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("SELECT p FROM nosuch", "unknown table 'nosuch'"),
+            ("SELECT nocol FROM blocks", "unknown column 'nocol'"),
+        ],
+    )
+    def test_explain_rejects_what_execution_rejects(self, capsys, sql, message):
+        def error_lines(argv):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            return [line for line in err.splitlines() if line.startswith("error:")]
+
+        executed = error_lines(["query", "--chain", "bitcoin", "--sql", sql])
+        explained = error_lines(["query", "--chain", "bitcoin", "--explain", "--sql", sql])
+        assert len(explained) == 1 and message in explained[0]
+        assert explained == executed
+
     def test_disable_optimizer_still_answers(self, capsys):
         code = main(
             ["query", "--chain", "bitcoin", "--disable", "optimizer",
