@@ -4,8 +4,10 @@ Builds a 200k-row synthetic block table and times the same selective
 equality query through an indexed engine and through an ``optimizer=False``
 engine.  The headline test asserts the acceptance gate from the optimizer
 PR: the indexed point lookup must be at least 5x faster end-to-end than
-the full scan, with byte-identical results.  ``make bench-perf`` records
-these timings in ``BENCH_pipeline.json``.
+the full scan, with byte-identical results.  ``test_perf_sql_join_eth``
+gates the equi-join pair kernel at >=10x over a build-dict-and-probe-loop
+join on the full ETH year.  ``make bench-perf`` records these timings in
+``BENCH_pipeline.json``.
 """
 
 import time
@@ -14,10 +16,16 @@ import numpy as np
 import pytest
 
 from repro.sql import QueryEngine
+from repro.sql.executor import join_pairs
 from repro.table import Table
 
 #: Acceptance gate: indexed equality lookup vs full scan, end-to-end.
 MIN_SPEEDUP = 5.0
+
+#: Gate: the join pair kernel vs a dict join, on the same ETH join.
+MIN_JOIN_SPEEDUP = 10.0
+#: Block heights on the probe side of the ETH join.
+JOIN_SPAN = 500
 
 N_ROWS = 200_000
 POINT_SQL = "SELECT height, producer FROM blocks WHERE producer = 'p123'"
@@ -105,3 +113,39 @@ def test_perf_sql_optimized_join(benchmark, indexed_engine, big_table):
     )
     result = benchmark(engine.execute, sql)
     assert result.num_rows == 50
+
+
+def _dict_join_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner-join pairs from a dict built over the right keys, probed per left row."""
+    build: dict = {}
+    for j, value in enumerate(right.tolist()):
+        build.setdefault(value, []).append(j)
+    left_rows: list[int] = []
+    right_rows: list[int] = []
+    for i, value in enumerate(left.tolist()):
+        matches = build.get(value, [])
+        left_rows.extend([i] * len(matches))
+        right_rows.extend(matches)
+    return np.asarray(left_rows, dtype=np.int64), np.asarray(right_rows, dtype=np.int64)
+
+
+def test_perf_sql_join_eth(benchmark, study):
+    """500 ETH block heights joined to every credit row (2.2M) of the year."""
+    chain = study.chain("eth")
+    mid = chain.n_blocks // 2
+    left = chain.block_table()["height"][mid : mid + JOIN_SPAN]
+    right = chain.to_table()["height"]
+    left_rows, right_rows = benchmark(join_pairs, left, right, "inner")
+    expected_left, expected_right = _dict_join_pairs(left, right)
+    assert np.array_equal(left_rows, expected_left)
+    assert np.array_equal(right_rows, expected_right)
+    assert len(left_rows) >= JOIN_SPAN
+
+    kernel = _best_of(lambda: join_pairs(left, right, "inner"))
+    reference = _best_of(lambda: _dict_join_pairs(left, right), repeat=2)
+    speedup = reference / kernel
+    assert speedup >= MIN_JOIN_SPEEDUP, (
+        f"join pair kernel only {speedup:.1f}x faster than the dict join "
+        f"(kernel {kernel * 1e3:.1f}ms, dict {reference * 1e3:.1f}ms); "
+        f"gate is {MIN_JOIN_SPEEDUP:.0f}x over {len(right):,} credit rows"
+    )

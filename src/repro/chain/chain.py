@@ -251,31 +251,26 @@ class Chain:
         heights = np.repeat(self.heights, counts)
         timestamps = np.repeat(self.timestamps, counts)
         n_producers = np.repeat(counts, counts)
-        names = np.empty(self.n_credits, dtype=object)
-        lookup = self.producer_names
-        for i, pid in enumerate(self.producer_ids):
-            names[i] = lookup[pid]
         return Table(
             {
                 "height": heights,
                 "timestamp": timestamps,
-                "producer": names,
+                "producer": self._names_of(self.producer_ids),
                 "n_producers": n_producers,
             }
         )
 
     def block_table(self) -> Table:
         """One row per block: ``height``, ``timestamp``, ``primary_producer``."""
-        first = self.offsets[:-1]
-        names = np.empty(self.n_blocks, dtype=object)
-        lookup = self.producer_names
-        for i, pid in enumerate(self.producer_ids[first]):
-            names[i] = lookup[pid]
         return Table(
             {
                 "height": self.heights,
                 "timestamp": self.timestamps,
-                "primary_producer": names,
+                "primary_producer": self._names_of(self.producer_ids[self.offsets[:-1]]),
                 "n_producers": self.producer_counts(),
             }
         )
+
+    def _names_of(self, ids: np.ndarray) -> np.ndarray:
+        """Object array of the producer names (the same str objects) for ``ids``."""
+        return np.asarray(self.producer_names, dtype=object)[ids]

@@ -62,6 +62,7 @@ from repro.sql.planner import (
 from repro.table import Table, concat
 from repro.table.aggregates import grouped_aggregate
 from repro.table.column import Column
+from repro.table.grouping import dict_codes, factorize
 from repro.table.index import Index, build_index
 from repro.table.stats import TableStatistics
 
@@ -393,10 +394,13 @@ class QueryEngine:
                 left_qualified.table, left_key, right_qualified.table, index, join.kind
             )
         else:
-            kernel = _sort_merge_join if node.strategy == "sort_merge" else _hash_join
-            joined = kernel(
-                left_qualified.table, left_key, right_qualified.table, right_key, join.kind
+            # Hash and sort-merge share one pair kernel, so the planner's
+            # choice never changes the output.
+            left_table, right_table = left_qualified.table, right_qualified.table
+            left_rows, right_rows = join_pairs(
+                left_table[left_key], right_table[right_key], join.kind
             )
+            joined = _assemble_join(left_table, right_table, left_rows, right_rows)
         node.rows_out = joined.num_rows
         frame.scope = _Scope(joined, None, is_join=True)
 
@@ -450,13 +454,14 @@ class QueryEngine:
             )
         if env is None:
             if group_exprs:
-                group_ids, n_groups = _factorize(key_arrays)
+                group_ids, first = factorize(key_arrays)
+                n_groups = len(first)
             else:
                 group_ids = np.zeros(n_rows, dtype=np.int64)
                 n_groups = 1
             env = {}
             for expr, keys in zip(group_exprs, key_arrays):
-                env[expr] = _first_per_group(keys, group_ids, n_groups)
+                env[expr] = keys[first]
             for aggregate in node.aggregates:
                 env[aggregate] = _evaluate_aggregate(
                     aggregate, table, scope, group_ids, n_groups
@@ -501,13 +506,13 @@ class QueryEngine:
         Rows are split into contiguous partitions; each worker scans its
         slice of the already-evaluated key/argument columns, groups it
         locally in first-appearance order, and returns mergeable partial
-        states.  The coordinator walks the partitions **in order**,
-        numbering each unseen key tuple as it appears — which is exactly
-        the first-appearance-over-all-rows numbering ``_factorize``
-        produces — then folds the partials into final values.  The
-        Aggregate node gains one ``ParallelScan`` + ``PartialAggregate``
-        child pair per partition (worker-measured times) and a
-        ``FinalizeAggregate`` merge child.
+        states.  The coordinator factorizes the partitions' local keys
+        concatenated **in partition order**, which numbers every group
+        where it first appears over all rows, exactly as the serial
+        ``factorize`` does (NULL keys included), then folds the partials
+        into final values.  The Aggregate node gains one ``ParallelScan``
+        + ``PartialAggregate`` child pair per partition (worker-measured
+        times) and a ``FinalizeAggregate`` merge child.
         """
         n_rows = table.num_rows
         n_workers = self.workers
@@ -525,36 +530,29 @@ class QueryEngine:
                 _work.sql_partial_aggregate,
                 [(lo, hi, funcs) for lo, hi in ranges],
             )
-        for i, ((lo, hi), part) in enumerate(zip(ranges, parts)):
+        sizes = [len(part["keys"][0]) for part in parts]
+        for i, ((lo, hi), part, size) in enumerate(zip(ranges, parts, sizes)):
             node.children.append(PlanNode(
                 "ParallelScan", f"partition={i} rows[{lo}:{hi}]",
                 rows_out=part["rows"], seconds=part["scan_seconds"],
             ))
             node.children.append(PlanNode(
                 "PartialAggregate", f"partition={i}", rows_in=part["rows"],
-                rows_out=len(part["keys"]), seconds=part["agg_seconds"],
+                rows_out=size, seconds=part["agg_seconds"],
             ))
         finalize = PlanNode("FinalizeAggregate", f"partitions={len(parts)} workers={n_workers}")
         node.children.append(finalize)
         with measure(finalize, analyze):
-            mapping: dict = {}
-            remaps: list[np.ndarray] = []
-            for part in parts:
-                remap = np.empty(len(part["keys"]), dtype=np.int64)
-                for local_gid, key in enumerate(part["keys"]):
-                    gid = mapping.get(key)
-                    if gid is None:
-                        gid = len(mapping)
-                        mapping[key] = gid
-                    remap[local_gid] = gid
-                remaps.append(remap)
-            n_groups = len(mapping)
-            env: dict[Expr, np.ndarray] = {}
-            for k, expr in enumerate(group_exprs):
-                out = np.empty(n_groups, dtype=key_arrays[k].dtype)
-                for key, gid in mapping.items():
-                    out[gid] = key[k]
-                env[expr] = out
+            keys = [
+                np.concatenate([part["keys"][k] for part in parts])
+                for k in range(len(group_exprs))
+            ]
+            codes, first = factorize(keys)
+            n_groups = len(first)
+            remaps = np.split(codes, np.cumsum(sizes)[:-1])
+            env: dict[Expr, np.ndarray] = {
+                expr: keys[k][first] for k, expr in enumerate(group_exprs)
+            }
             for i, aggregate in enumerate(node.aggregates):
                 env[aggregate] = _merge_partials(
                     funcs[i],
@@ -563,7 +561,7 @@ class QueryEngine:
                     remaps,
                     n_groups,
                 )
-            finalize.rows_in = sum(len(part["keys"]) for part in parts)
+            finalize.rows_in = sum(sizes)
             finalize.rows_out = n_groups
         return env, n_groups
 
@@ -739,91 +737,48 @@ class _Scope:
         return table.rename(renames)
 
 
-def _hash_join(
-    left: Table, left_key: str, right: Table, right_key: str, how: str
-) -> Table:
-    """Equality hash-join on one key column per side (names may differ).
+def join_pairs(
+    left_keys: np.ndarray, right_keys: np.ndarray, how: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs of an equality join, in canonical ``(left row, right row)`` order.
 
-    Emits matches in ``(left row, right row)`` lexicographic order — the
-    canonical pair order every join strategy reproduces so results are
-    byte-identical regardless of the optimizer's choice.
+    Keys match under dict-lookup equality.  Numeric keys of one kind are
+    their own order codes, with NaN never matching; object keys and mixed
+    int/float keys are coded through one dict over their Python values
+    (``None`` matches ``None``, ``1`` matches ``1.0``).  Each left code
+    takes its run of the stably sorted right codes, so every left row
+    lists its matches in ascending right-row order.  A LEFT JOIN miss
+    pairs with ``-1``.
     """
-    build: dict[Any, list[int]] = {}
-    for j, value in enumerate(right.column(right_key).to_list()):
-        build.setdefault(value, []).append(j)
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    for i, value in enumerate(left.column(left_key).to_list()):
-        matches = build.get(value)
-        if matches:
-            left_rows.extend([i] * len(matches))
-            right_rows.extend(matches)
-        elif how == "left":
-            left_rows.append(i)
-            right_rows.append(-1)
-    return _assemble_join(left, right, left_rows, right_rows)
+    left_codes, right_codes, unmatchable = _join_codes(left_keys, right_keys)
+    order = np.argsort(right_codes, kind="stable")
+    sorted_codes = right_codes[order]
+    lo = np.searchsorted(sorted_codes, left_codes, side="left")
+    hi = np.searchsorted(sorted_codes, left_codes, side="right")
+    matches = np.where(unmatchable, 0, hi - lo)
+    emit = np.maximum(matches, 1) if how == "left" else matches
+    left_rows = np.repeat(np.arange(left_codes.shape[0], dtype=np.int64), emit)
+    # Position of each output pair within its left row's run.
+    rank = np.arange(left_rows.shape[0], dtype=np.int64) - np.repeat(np.cumsum(emit) - emit, emit)
+    hit = np.repeat(matches > 0, emit)
+    right_rows = np.full(left_rows.shape[0], -1, dtype=np.int64)
+    right_rows[hit] = order[np.repeat(lo, emit)[hit] + rank[hit]]
+    return left_rows, right_rows
 
 
-def _sort_merge_join(
-    left: Table, left_key: str, right: Table, right_key: str, how: str
-) -> Table:
-    """Sort-merge equality join, byte-identical to :func:`_hash_join`.
+def _join_codes(
+    left_keys: np.ndarray, right_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | bool]:
+    """Sortable equality codes for both key columns, and the left rows that never match.
 
-    Keys are dense-coded through one shared dict (so equality semantics —
-    ``None`` matches ``None``, NaN never matches — are exactly the hash
-    join's), both sides are sorted by code, merged linearly, and the match
-    pairs re-sorted into canonical ``(left, right)`` order.
+    A right NaN sorts after every number, so only left NaNs need masking.
     """
-    left_values = left.column(left_key).to_list()
-    right_values = right.column(right_key).to_list()
-    mapping: dict[Any, int] = {}
-
-    def encode(values: list) -> np.ndarray:
-        codes = np.empty(len(values), dtype=np.int64)
-        for i, value in enumerate(values):
-            code = mapping.get(value)
-            if code is None:
-                code = len(mapping)
-                mapping[value] = code
-            codes[i] = code
-        return codes
-
-    left_codes = encode(left_values)
-    right_codes = encode(right_values)
-    left_order = np.argsort(left_codes, kind="stable")
-    right_order = np.argsort(right_codes, kind="stable")
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    i = j = 0
-    n_left, n_right = len(left_order), len(right_order)
-    while i < n_left:
-        code = left_codes[left_order[i]]
-        while j < n_right and right_codes[right_order[j]] < code:
-            j += 1
-        j_end = j
-        while j_end < n_right and right_codes[right_order[j_end]] == code:
-            j_end += 1
-        i_end = i
-        while i_end < n_left and left_codes[left_order[i_end]] == code:
-            i_end += 1
-        if j_end > j:
-            run = right_order[j:j_end]
-            for left_row in left_order[i:i_end]:
-                left_rows.extend([int(left_row)] * len(run))
-                right_rows.extend(int(r) for r in run)
-        elif how == "left":
-            for left_row in left_order[i:i_end]:
-                left_rows.append(int(left_row))
-                right_rows.append(-1)
-        i = i_end
-        j = j_end
-    left_arr = np.asarray(left_rows, dtype=np.int64)
-    right_arr = np.asarray(right_rows, dtype=np.int64)
-    if len(left_arr):
-        order = np.lexsort((right_arr, left_arr))
-        left_arr = left_arr[order]
-        right_arr = right_arr[order]
-    return _assemble_join(left, right, left_arr, right_arr)
+    kind = left_keys.dtype.kind
+    if kind in "biuf" and right_keys.dtype.kind == kind:
+        return left_keys, right_keys, np.isnan(left_keys) if kind == "f" else False
+    # Fresh Python floats from tolist() keep NaN unequal to every key.
+    codes, _ = dict_codes(left_keys.tolist() + right_keys.tolist())
+    return codes[: left_keys.shape[0]], codes[left_keys.shape[0] :], False
 
 
 def _index_join(
@@ -1197,33 +1152,6 @@ def _all_str_or_none(array: np.ndarray) -> bool:
     return all(v is None or isinstance(v, str) for v in array)
 
 
-def _factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    if len(key_arrays) == 1 and key_arrays[0].dtype != object:
-        values = key_arrays[0]
-        _, inverse = np.unique(values, return_inverse=True)
-        return _renumber(inverse.astype(np.int64), values)
-    combos = list(zip(*[a.tolist() for a in key_arrays]))
-    mapping: dict[Any, int] = {}
-    ids = np.empty(len(combos), dtype=np.int64)
-    for i, combo in enumerate(combos):
-        gid = mapping.get(combo)
-        if gid is None:
-            gid = len(mapping)
-            mapping[combo] = gid
-        ids[i] = gid
-    return ids, len(mapping)
-
-
-def _renumber(ids: np.ndarray, _values: np.ndarray) -> tuple[np.ndarray, int]:
-    n_groups = int(ids.max()) + 1 if ids.size else 0
-    first = np.full(n_groups, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(ids.shape[0], dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    remap = np.empty(n_groups, dtype=np.int64)
-    remap[order] = np.arange(n_groups, dtype=np.int64)
-    return remap[ids], n_groups
-
-
 def _merge_partials(
     func: str,
     values: np.ndarray | None,
@@ -1284,17 +1212,6 @@ def _merge_partials(
     raise SqlExecutionError(  # pragma: no cover - guarded by _parallel_eligible
         f"aggregate {func!r} has no mergeable partial"
     )
-
-
-def _first_per_group(
-    values: np.ndarray, group_ids: np.ndarray, n_groups: int
-) -> np.ndarray:
-    first = np.full(n_groups, -1, dtype=np.int64)
-    for i in range(group_ids.shape[0] - 1, -1, -1):
-        first[group_ids[i]] = i
-    if n_groups and first.min() < 0:
-        raise SqlExecutionError("internal error: empty group")
-    return values[first]
 
 
 def _resolve_group_keys(node: AggregateNode, scope: "_Scope") -> tuple[Expr, ...]:

@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import TableError
+from repro.table.grouping import factorize
 
 #: Names accepted by ``Table.group_by(...).aggregate`` and the SQL engine.
 AGGREGATE_NAMES = (
@@ -128,26 +129,10 @@ def _scalar(value: Any) -> Any:
 def _grouped_count_distinct(
     values: np.ndarray, group_ids: np.ndarray, n_groups: int
 ) -> np.ndarray:
-    if values.dtype == object:
-        codes = _factorize_objects(values)
-    else:
-        _, codes = np.unique(values, return_inverse=True)
-    pairs = group_ids.astype(np.int64) * (int(codes.max()) + 1 if codes.size else 1) + codes
-    unique_pairs = np.unique(pairs)
-    owners = unique_pairs // (int(codes.max()) + 1 if codes.size else 1)
+    codes, first = factorize([values])
+    radix = max(len(first), 1)
+    owners = np.unique(group_ids.astype(np.int64) * radix + codes) // radix
     return np.bincount(owners, minlength=n_groups).astype(np.int64)
-
-
-def _factorize_objects(values: np.ndarray) -> np.ndarray:
-    mapping: dict[Any, int] = {}
-    codes = np.empty(values.shape[0], dtype=np.int64)
-    for i, item in enumerate(values):
-        code = mapping.get(item)
-        if code is None:
-            code = len(mapping)
-            mapping[item] = code
-        codes[i] = code
-    return codes
 
 
 def _grouped_via_sort(

@@ -15,6 +15,7 @@ import numpy as np
 from repro.errors import SchemaError, TableError
 from repro.table.aggregates import aggregate_array, grouped_aggregate
 from repro.table.column import Column
+from repro.table.grouping import factorize
 from repro.table.schema import Schema
 
 
@@ -253,12 +254,8 @@ class Table:
         key_names = list(self._names) if keys is None else (
             [keys] if isinstance(keys, str) else list(keys)
         )
-        ids, n_groups = _group_ids(self, key_names)
-        first = np.full(n_groups, -1, dtype=np.int64)
-        for i, gid in enumerate(ids):
-            if first[gid] < 0:
-                first[gid] = i
-        return self.take(np.sort(first))
+        _, first_rows = _group_ids(self, key_names)
+        return self.take(first_rows)
 
     def value_counts(self, key: str) -> "Table":
         """Return ``key`` values with their row counts, most frequent first."""
@@ -418,8 +415,8 @@ class GroupBy:
         if not specs:
             raise TableError("aggregate requires at least one output column")
         table = self._table
-        ids, n_groups = _group_ids(table, self._keys)
-        first_rows = _first_occurrences(ids, n_groups)
+        ids, first_rows = _group_ids(table, self._keys)
+        n_groups = len(first_rows)
         data: dict[str, Column] = {}
         for key in self._keys:
             column = table.column(key)
@@ -437,8 +434,8 @@ class GroupBy:
         general — used for metric computations over grouped block data.
         """
         table = self._table
-        ids, n_groups = _group_ids(table, self._keys)
-        first_rows = _first_occurrences(ids, n_groups)
+        ids, first_rows = _group_ids(table, self._keys)
+        n_groups = len(first_rows)
         order = np.argsort(ids, kind="stable")
         sorted_ids = ids[order]
         boundaries = np.searchsorted(sorted_ids, np.arange(n_groups + 1))
@@ -468,46 +465,8 @@ def _dense_codes(values: np.ndarray) -> np.ndarray:
     return inverse.astype(np.int64)
 
 
-def _group_ids(table: Table, keys: list[str]) -> tuple[np.ndarray, int]:
-    """Map each row to a dense group id; groups are numbered by first occurrence."""
-    if table.num_rows == 0:
-        return np.empty(0, dtype=np.int64), 0
-    if len(keys) == 1:
-        values = table.column(keys[0]).values
-        if values.dtype == object:
-            return _factorize_by_first(values.tolist())
-        _, inverse = np.unique(values, return_inverse=True)
-        return _renumber_by_first(inverse.astype(np.int64))
-    columns = [table.column(k).to_list() for k in keys]
-    combos = list(zip(*columns))
-    return _factorize_by_first(combos)
-
-
-def _factorize_by_first(items: Sequence[Any]) -> tuple[np.ndarray, int]:
-    mapping: dict[Any, int] = {}
-    ids = np.empty(len(items), dtype=np.int64)
-    for i, item in enumerate(items):
-        gid = mapping.get(item)
-        if gid is None:
-            gid = len(mapping)
-            mapping[item] = gid
-        ids[i] = gid
-    return ids, len(mapping)
-
-
-def _renumber_by_first(ids: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber dense ids so that group numbers follow first appearance."""
-    n_groups = int(ids.max()) + 1 if ids.size else 0
-    first = np.full(n_groups, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(ids.shape[0], dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    remap = np.empty(n_groups, dtype=np.int64)
-    remap[order] = np.arange(n_groups, dtype=np.int64)
-    return remap[ids], n_groups
-
-
-def _first_occurrences(ids: np.ndarray, n_groups: int) -> np.ndarray:
-    first = np.full(n_groups, -1, dtype=np.int64)
-    for i in range(ids.shape[0] - 1, -1, -1):
-        first[ids[i]] = i
-    return first
+def _group_ids(table: Table, keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row group ids numbered by first occurrence, and each group's first row."""
+    if not keys:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return factorize([table.column(k).values for k in keys])
