@@ -217,6 +217,26 @@ class Credits:
         self._segment_cache[step] = histograms
         return histograms
 
+    def sliding_fallback_reason(self, size: int, step: int) -> str | None:
+        """Why :meth:`sliding_histograms` has no dense matrix for (size, step).
+
+        ``None`` when it has one.  Otherwise the family doesn't decompose
+        into aligned segments, the window is longer than the chain, or the
+        per-segment matrix (at least as large as the per-window one) is
+        over the dense cell budget.
+        """
+        if size % step != 0:
+            return "size % step != 0"
+        if size > self.n_blocks:
+            return f"window longer than the chain's {self.n_blocks} blocks"
+        cells = (self.n_blocks // step) * self.n_entities
+        if cells > _SEGMENT_BUDGET:
+            return (
+                f"{self.n_blocks // step} segments x {self.n_entities} entities "
+                f"is over the {_SEGMENT_BUDGET:,}-cell dense budget"
+            )
+        return None
+
     def sliding_histograms(
         self, size: int, step: int, workers: int | str | None = None
     ) -> np.ndarray | None:
@@ -229,18 +249,15 @@ class Credits:
         the whole sweep, instead of once per overlapping window), which is
         what makes the sliding path O(credits) rather than O(L x N).
 
-        Returns ``None`` when the family doesn't decompose into aligned
-        segments (``size % step != 0``) or the dense matrices would be too
-        large; callers fall back to the per-window slice path.
+        Returns ``None`` when :meth:`sliding_fallback_reason` names a
+        reason; callers fall back to the per-window slice path.
         """
         if size <= 0 or step <= 0:
             raise AttributionError("size and step must be positive")
-        if size % step != 0 or size > self.n_blocks:
+        if self.sliding_fallback_reason(size, step) is not None:
             return None
         n_windows = (self.n_blocks - size) // step + 1
         segments_per_window = size // step
-        if n_windows * self.n_entities > _SEGMENT_BUDGET:
-            return None
         segments = self.segment_histograms(step, workers=workers)
         if segments is None:
             return None

@@ -360,81 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
         "supervision, a crash fails the command)",
     )
     monitor.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="admission control: at most N telemetry requests execute "
-        "concurrently; excess arrivals queue briefly, then get 503 + "
-        "Retry-After (default: unbounded)",
-    )
-    monitor.add_argument(
-        "--admission-queue", type=int, default=16, metavar="N",
-        help="bounded wait queue in front of admission control "
-        "(default 16; only with --max-inflight)",
-    )
-    monitor.add_argument(
-        "--rate-limit", metavar="RPS[:BURST]", default=None,
-        help="per-client token-bucket rate limit (keyed by X-Client-Id "
-        "or peer address); over-limit clients get 429 with RateLimit-* "
-        "headers (BURST defaults to 2*RPS)",
-    )
-    monitor.add_argument(
-        "--cache-ttl", type=float, default=1.0, metavar="SECONDS",
-        help="how long cached /status and series snapshots count as "
-        "fresh; stale copies serve load shedding (default 1.0)",
-    )
-    monitor.add_argument(
         "--ingest-queue", type=int, default=None, metavar="N",
         help="decouple the feed from the monitor with a bounded queue "
-        "of N blocks (default: ingest inline, no queue)",
-    )
-    monitor.add_argument(
-        "--ingest-policy", choices=["block", "drop-oldest", "shed"],
-        default="block",
-        help="what a full ingest queue does: block the feed "
-        "(backpressure), drop the oldest buffered block, or shed the "
-        "incoming one (default block)",
-    )
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="drive a serving monitor with closed- or open-loop load and "
-        "report latency percentiles and per-status counts",
-    )
-    loadgen.add_argument(
-        "--url", help="base URL of the server (e.g. http://127.0.0.1:9464)"
-    )
-    loadgen.add_argument(
-        "--port", type=int, help="shorthand for --url on 127.0.0.1"
-    )
-    loadgen.add_argument(
-        "--path", default="/status",
-        help="path to request (default /status)",
-    )
-    loadgen.add_argument(
-        "--duration", type=float, default=5.0,
-        help="how long to drive load, in seconds (default 5)",
-    )
-    loadgen.add_argument(
-        "--clients", type=int, default=4,
-        help="concurrent workers, each with its own X-Client-Id (default 4)",
-    )
-    loadgen.add_argument(
-        "--rps", type=float, default=None,
-        help="total target request rate (closed loop: paces clients; "
-        "open loop: the fixed arrival schedule; default: unpaced)",
-    )
-    loadgen.add_argument(
-        "--mode", choices=["closed", "open"], default="closed",
-        help="closed = fire after previous completes, open = fire on a "
-        "fixed schedule regardless (requires --rps; default closed)",
-    )
-    loadgen.add_argument(
-        "--timeout", type=float, default=2.0,
-        help="per-request timeout in seconds (default 2)",
-    )
-    loadgen.add_argument(
-        "--fail-on-unhandled", action="store_true",
-        help="exit 1 when any connection error or unhandled 5xx "
-        "(a 5xx without Retry-After) was observed",
+        "of N blocks; a full queue makes the feed wait (default: ingest "
+        "inline, no queue)",
     )
 
     chaos = sub.add_parser(
@@ -589,8 +518,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_bench_diff(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
     study = DecentralizationStudy(seed=args.seed, workers=args.workers)
     if args.command == "monitor":
         return _cmd_monitor(study, args)
@@ -1068,34 +995,6 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    overload = None
-    if (
-        args.max_inflight is not None
-        or args.rate_limit is not None
-        or args.cache_ttl != 1.0
-    ):
-        from repro.serve import OverloadConfig, parse_rate_limit
-
-        rate, burst = (None, None)
-        if args.rate_limit is not None:
-            try:
-                rate, burst = parse_rate_limit(args.rate_limit)
-            except ValidationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        try:
-            overload = OverloadConfig(
-                max_inflight=args.max_inflight,
-                max_queue=args.admission_queue,
-                rate_limit=rate,
-                burst=burst,
-                cache_ttl=args.cache_ttl,
-            )
-        except ValidationError as exc:
-            # Bad overload knobs are argument errors, same contract as
-            # bad windows or fault specs.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.ingest_queue is not None and args.ingest_queue < 1:
         print(
             f"error: --ingest-queue must be >= 1, got {args.ingest_queue}",
@@ -1177,9 +1076,7 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             injector=injector,
             slos=slos,
             alert_sinks=alert_sinks,
-            overload=overload,
             ingest_queue=args.ingest_queue,
-            ingest_policy=args.ingest_policy,
         )
     finally:
         for signum, handler in previous_handlers:
@@ -1188,8 +1085,6 @@ def _cmd_monitor(study: DecentralizationStudy, args: argparse.Namespace) -> int:
             obs.disable_tracing()
     latest = ", ".join(f"{k}={v:.4f}" for k, v in sorted(result.latest.items()))
     restarts = f", {result.restarts} restart(s)" if result.restarts else ""
-    if result.ingest_dropped:
-        restarts += f", {result.ingest_dropped} block(s) dropped by ingest queue"
     resolved = f", {result.alerts_resolved} resolved" if result.alerts_resolved else ""
     print(
         f"monitored {result.blocks} blocks: {result.evaluations} evaluations, "
@@ -1313,42 +1208,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: no readable records in {args.file}", file=sys.stderr)
         return 1
     print(text)
-    return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.errors import ValidationError
-    from repro.serve import LoadgenConfig, print_report, run_loadgen
-
-    if args.url and args.port is not None:
-        print("error: pass --url or --port, not both", file=sys.stderr)
-        return 2
-    if not args.url and args.port is None:
-        print("error: repro loadgen needs --url or --port", file=sys.stderr)
-        return 2
-    url = args.url or f"http://127.0.0.1:{args.port}"
-    try:
-        config = LoadgenConfig(
-            url=url,
-            path=args.path,
-            duration=args.duration,
-            clients=args.clients,
-            rps=args.rps,
-            mode=args.mode,
-            timeout=args.timeout,
-        )
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_loadgen(config)
-    print_report(report)
-    if args.fail_on_unhandled and not report.ok():
-        print(
-            f"error: {report.errors} connection error(s) and "
-            f"{report.unhandled_5xx} unhandled 5xx response(s)",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

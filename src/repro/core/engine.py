@@ -216,8 +216,9 @@ class MeasurementEngine:
 
         Uses the incremental segment-histogram fast path when the family
         decomposes into aligned segments (``size % step == 0``, the
-        paper's M = N/2 always does); otherwise falls back to the generic
-        batched sweep.  ``workers`` shards the segment-histogram build
+        paper's M = N/2 always does) and its dense matrix fits the cell
+        budget; otherwise falls back to the generic batched sweep and
+        logs why.  ``workers`` shards the segment-histogram build
         (fast path) or the per-window distributions (fallback); both
         merges are byte-identical to serial.
         """
@@ -227,12 +228,7 @@ class MeasurementEngine:
         if fast is not None:
             obs.counter("engine.sliding.fast_path")
             return fast
-        obs.counter("engine.sliding.fallback")
-        logger.warning(
-            "sliding sweep size=%d step=%d fell off the incremental fast path "
-            "(size %% step != 0); using the generic per-window sweep",
-            generator.size, generator.step,
-        )
+        self._note_sliding_fallback(generator)
         windows = generator.generate(self.credits.n_blocks)
         return self.measure_many(
             resolved,
@@ -277,12 +273,7 @@ class MeasurementEngine:
         if fast is not None:
             obs.counter("engine.sliding.fast_path")
             return fast[resolved.name]
-        obs.counter("engine.sliding.fallback")
-        logger.warning(
-            "sliding sweep size=%d step=%d fell off the incremental fast path "
-            "(size %% step != 0); using the generic per-window sweep",
-            generator.size, generator.step,
-        )
+        self._note_sliding_fallback(generator)
         windows = generator.generate(self.credits.n_blocks)
         return self.measure(
             resolved, windows, window_desc=f"sliding-{generator.size}/{generator.step}"
@@ -325,6 +316,16 @@ class MeasurementEngine:
         )
 
     # -- internals -------------------------------------------------------------------
+
+    def _note_sliding_fallback(self, generator: SlidingBlockWindows) -> None:
+        """Count and log a sweep that takes the generic per-window path."""
+        obs.counter("engine.sliding.fallback")
+        logger.warning(
+            "sliding sweep size=%d step=%d fell off the incremental fast path "
+            "(%s); using the generic per-window sweep",
+            generator.size, generator.step,
+            self.credits.sliding_fallback_reason(generator.size, generator.step),
+        )
 
     def _measure_sliding_fast(
         self,

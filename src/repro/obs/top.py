@@ -203,39 +203,12 @@ def render_dashboard(
             f" breached={','.join(breached) if breached else 'none'}"
         )
 
-    overload = status.get("overload") or {}
-    if overload:
-        shedder = overload.get("shedder") or {}
-        cache = overload.get("cache") or {}
-        line = (
-            f"overload  shed={shedder.get('state', '?')}"
-            f" shed_total={shedder.get('shed_total', 0)}"
-            f" cache_hits={cache.get('hits', 0)}"
-            f"+{cache.get('stale_hits', 0)} stale"
-        )
-        admission = overload.get("admission")
-        if admission:
-            line += (
-                f" inflight={admission.get('inflight', 0)}"
-                f"/{admission.get('max_inflight', '?')}"
-                f" rejected={admission.get('rejected_total', 0)}"
-            )
-        ratelimit = overload.get("ratelimit")
-        if ratelimit:
-            line += (
-                f" throttled={ratelimit.get('throttled_total', 0)}"
-                f" ({ratelimit.get('clients', 0)} clients)"
-            )
-        lines.append(line)
-
     ingest_queue = status.get("ingest") or {}
     if ingest_queue:
         lines.append(
-            f"queue     policy={ingest_queue.get('policy', '?')}"
-            f" depth={ingest_queue.get('depth', 0)}"
+            f"queue     depth={ingest_queue.get('depth', 0)}"
             f"/{ingest_queue.get('maxsize', '?')}"
             f" peak={ingest_queue.get('peak_depth', 0)}"
-            f" dropped={ingest_queue.get('dropped_total', 0)}"
         )
     return "\n".join(lines)
 

@@ -161,12 +161,12 @@ class CircuitBreaker:
     through (half-open).  A probe success closes the circuit, a probe
     failure re-opens it and restarts the cool-down.
 
-    All state transitions take an internal lock: the breaker was built
-    for the single-threaded ingest path but is now shared across
-    ``ThreadingHTTPServer`` handler threads (the overload layer in
-    :mod:`repro.serve.overload` uses one as its degrade trigger), so
-    concurrent ``record_failure``/``record_success``/``allow`` calls must
-    neither corrupt the failure run nor admit two half-open probes.
+    All state transitions take an internal lock, so concurrent
+    ``record_failure``/``record_success``/``allow`` calls neither corrupt
+    the failure run nor admit two half-open probes.  A failure reported
+    while the circuit is already open comes from a call admitted before
+    it tripped; it is ignored, so it neither extends the failure run nor
+    restarts the cool-down.
     """
 
     CLOSED = "closed"
@@ -254,26 +254,28 @@ class CircuitBreaker:
             self._probe_in_flight = False
 
     def record_failure(self) -> None:
-        """A call failed: trip the circuit at the threshold (or on a probe)."""
+        """A call failed: trip the circuit at the threshold (or on a probe).
+
+        The failure run never passes ``failure_threshold``: a failed
+        half-open probe re-opens the circuit without extending it.
+        """
         with self._lock:
-            self._resolve_state()
-            self._consecutive_failures += 1
+            state = self._resolve_state()
+            if state == self.OPEN:
+                return  # a late failure: the circuit already tripped
             self._probe_in_flight = False
-            if (
-                self._state == self.HALF_OPEN
-                or self._consecutive_failures >= self.failure_threshold
-            ):
-                if self._state != self.OPEN:
-                    self.open_count += 1
-                    obs.get_tracer().metrics.counter(
-                        "resilience.breaker.open_total"
-                    ).inc()
-                    logger.warning(
-                        "circuit %r opened after %d consecutive failures",
-                        self.name, self._consecutive_failures,
-                    )
-                self._state = self.OPEN
-                self._opened_at = self._clock.monotonic()
+            if state == self.CLOSED:
+                self._consecutive_failures += 1
+                if self._consecutive_failures < self.failure_threshold:
+                    return
+            self.open_count += 1
+            obs.get_tracer().metrics.counter("resilience.breaker.open_total").inc()
+            logger.warning(
+                "circuit %r opened after %d consecutive failures",
+                self.name, self._consecutive_failures,
+            )
+            self._state = self.OPEN
+            self._opened_at = self._clock.monotonic()
 
 
 def retry_call(

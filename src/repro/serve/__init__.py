@@ -4,23 +4,17 @@ The paper argues for *continuous* measurement; this package is the
 operational half of that argument — a dependency-free HTTP server
 (stdlib :class:`~http.server.ThreadingHTTPServer`) an operator can point
 Prometheus at while a :class:`~repro.core.streaming.StreamingMonitor`
-ingests blocks, plus the machinery that keeps it answering under load:
+ingests blocks:
 
 :mod:`repro.serve.http`
     The endpoints (``/metrics``, ``/healthz``, ``/readyz``, ``/status``,
     ``/api/v1/series``, ``/api/v1/alerts``), standardized JSON error
     bodies, and the :class:`TelemetryServer` lifecycle.
-:mod:`repro.serve.overload`
-    Admission control, per-client token-bucket rate limiting, the
-    ETag/TTL response cache, and breaker-driven load shedding.
 :mod:`repro.serve.ingest`
-    The bounded backpressure queue between a block feed and the monitor
-    (``block`` | ``drop-oldest`` | ``shed``).
+    The bounded backpressure queue between a block feed and the monitor.
 :mod:`repro.serve.monitor`
     :func:`run_monitor`, the operational entry point behind
     ``repro monitor``.
-:mod:`repro.serve.loadgen`
-    The closed/open-loop load generator behind ``repro loadgen``.
 :mod:`repro.serve.state`
     The thread-safe :class:`MonitorState` snapshot both sides share.
 
@@ -34,45 +28,16 @@ from repro.serve.http import (
     TelemetryServer,
     error_body,
 )
-from repro.serve.ingest import INGEST_POLICIES, IngestQueue
-from repro.serve.loadgen import (
-    LOADGEN_MODES,
-    LoadgenConfig,
-    LoadgenReport,
-    format_report,
-    print_report,
-    run_loadgen,
-)
+from repro.serve.ingest import IngestQueue
 from repro.serve.monitor import MonitorRun, run_monitor
-from repro.serve.overload import (
-    AdmissionController,
-    OverloadConfig,
-    OverloadGuard,
-    ResponseCache,
-    TokenBucketLimiter,
-    parse_rate_limit,
-)
 from repro.serve.state import MonitorState
 
 __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "TelemetryServer",
     "error_body",
-    "INGEST_POLICIES",
     "IngestQueue",
-    "LOADGEN_MODES",
-    "LoadgenConfig",
-    "LoadgenReport",
-    "format_report",
-    "print_report",
-    "run_loadgen",
     "MonitorRun",
     "run_monitor",
-    "AdmissionController",
-    "OverloadConfig",
-    "OverloadGuard",
-    "ResponseCache",
-    "TokenBucketLimiter",
-    "parse_rate_limit",
     "MonitorState",
 ]

@@ -1,22 +1,7 @@
-"""The telemetry HTTP server: routing, overload protection, lifecycle.
+"""The telemetry HTTP server: routing, error bodies, lifecycle.
 
-Endpoint routing lives in :class:`_TelemetryHandler`; the overload layer
-(:mod:`repro.serve.overload`) is consulted in a fixed order before any
-handler work happens:
-
-1. ``/healthz`` bypasses everything — liveness must answer even when
-   the server is drowning.
-2. Rate limiting: a client over its token budget gets **429** with the
-   draft ``RateLimit-*`` headers and ``Retry-After``.
-3. Shed check: while the shed breaker is open (or the monitor is
-   degraded), cacheable endpoints (``/status``, ``/api/v1/series*``)
-   serve the last cached snapshot byte-identical, marked
-   ``X-Repro-Degraded: stale`` — no admission, no handler work.
-4. Fresh-cache fast path: a cache entry younger than the TTL is served
-   as-is (with its strong ETag; ``If-None-Match`` gets **304**).
-5. Admission: at most ``max_inflight`` requests execute concurrently,
-   a bounded queue waits briefly for a slot, and everyone else gets
-   **503** + ``Retry-After`` — or the stale snapshot if one exists.
+Endpoint routing lives in :class:`_TelemetryHandler`. ``/healthz``
+answers before any routing work, so liveness stays cheap.
 
 Every 4xx/5xx on the API carries a standardized JSON error body
 ``{"error": {"code": ..., "message": ...}}``; an exception escaping a
@@ -45,7 +30,6 @@ from repro.obs.alerts import AlertManager
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.timeseries import TimeSeriesStore
-from repro.serve.overload import OverloadConfig, OverloadGuard
 
 logger = logging.getLogger(__name__)
 
@@ -65,15 +49,6 @@ def error_body(code: str, message: str) -> str:
     return json.dumps({"error": {"code": code, "message": message}}) + "\n"
 
 
-def _is_cacheable(path: str) -> bool:
-    """Endpoints whose 200 bodies are snapshot-cached for load shedding."""
-    return (
-        path == "/status"
-        or path == "/api/v1/series"
-        or path.startswith("/api/v1/series/")
-    )
-
-
 class _TelemetryHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the telemetry callbacks for handlers."""
 
@@ -84,7 +59,6 @@ class _TelemetryHTTPServer(ThreadingHTTPServer):
     ready_fn: Callable[[], bool]
     store: TimeSeriesStore | None
     alert_manager: AlertManager | None
-    overload: OverloadGuard | None
 
 
 class _TelemetryHandler(BaseHTTPRequestHandler):
@@ -110,8 +84,6 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             help="Telemetry HTTP requests served (any status).",
         ).inc()
         self._responded = False
-        self._extra_headers: list[tuple[str, str]] = []
-        self._cache_key: str | None = None
         try:
             self._handle()
         except Exception as exc:  # handler bug -> structured 500, not a torn socket
@@ -132,73 +104,12 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
                 help="Telemetry HTTP request handling latency.",
             ).observe(time.perf_counter() - start)
 
-    # -- overload flow ---------------------------------------------------
-
     def _handle(self) -> None:
         parsed = urlparse(self.path)
-        path = parsed.path
-        if path == "/healthz":
-            # Liveness answers unconditionally: no rate limit, no queue.
+        if parsed.path == "/healthz":
             self._reply(200, "ok\n", _TEXT)
             return
-        guard = self.server.overload
-        if guard is None:
-            self._route(parsed)
-            return
-        if guard.limiter is not None:
-            decision = guard.limiter.allow(self._client_key())
-            if not decision.allowed:
-                self._extra_headers = decision.headers()
-                self._reply_error(
-                    429, "rate_limited",
-                    f"client over {decision.limit:g} requests/second; "
-                    f"retry in {decision.retry_after:.3f}s",
-                )
-                return
-            self._extra_headers = decision.headers()
-        cacheable = _is_cacheable(path)
-        if cacheable:
-            self._cache_key = path + (f"?{parsed.query}" if parsed.query else "")
-            if guard.shedder.shedding():
-                hit = guard.cache.get(self._cache_key)
-                if hit is not None:
-                    guard.shedder.note_shed()
-                    self._reply_cached(hit[0], stale=True)
-                    return
-                # Nothing cached yet: fall through and compute one.
-            else:
-                hit = guard.cache.get(self._cache_key, fresh_only=True)
-                if hit is not None:
-                    self._reply_cached(hit[0], stale=False)
-                    return
-        if guard.admission is None:
-            self._route(parsed)
-            return
-        if guard.admission.acquire():
-            guard.shedder.note_admitted()
-            try:
-                self._route(parsed)
-            finally:
-                guard.admission.release()
-            return
-        guard.shedder.note_saturated()
-        guard.shedder.note_shed()
-        if cacheable and self._cache_key is not None:
-            hit = guard.cache.get(self._cache_key)
-            if hit is not None:
-                self._reply_cached(hit[0], stale=True)
-                return
-        self._extra_headers.append(
-            ("Retry-After", str(max(1, round(guard.config.retry_after))))
-        )
-        self._reply_error(
-            503, "overloaded",
-            "server is at capacity; retry shortly",
-        )
-
-    def _client_key(self) -> str:
-        """Rate-limit key: explicit client id, else the socket peer."""
-        return self.headers.get("X-Client-Id") or self.client_address[0]
+        self._route(parsed)
 
     # -- routing ---------------------------------------------------------
 
@@ -213,8 +124,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             else:
                 self._reply_error(503, "not_ready", "monitor not ready")
         elif path == "/status":
-            body = json.dumps(self.server.status_fn(), indent=2) + "\n"
-            self._reply_cacheable(body)
+            self._reply_json(self.server.status_fn())
         elif path == "/api/v1/alerts":
             self._reply_alerts()
         elif path == "/api/v1/series" or path.startswith("/api/v1/series/"):
@@ -238,9 +148,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             return
         name = path[len("/api/v1/series/"):] if path != "/api/v1/series" else ""
         if not name:
-            self._reply_cacheable(
-                json.dumps({"series": store.series_names()}, indent=2) + "\n"
-            )
+            self._reply_json({"series": store.series_names()})
             return
         params = {}
         for key in ("start", "end", "step"):
@@ -259,7 +167,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
         except KeyError:
             self._reply_error(404, "not_found", f"unknown series {name!r}")
             return
-        self._reply_cacheable(json.dumps(result, indent=2) + "\n")
+        self._reply_json(result)
 
     # -- response writing ------------------------------------------------
 
@@ -269,33 +177,8 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
     def _reply_error(self, code: int, error_code: str, message: str) -> None:
         self._reply(code, error_body(error_code, message), _JSON)
 
-    def _reply_cacheable(self, body: str) -> None:
-        """Send a fresh 200 JSON body, snapshotting it for load shedding."""
-        guard = self.server.overload
-        if guard is None or self._cache_key is None:
-            self._reply(200, body, _JSON)
-            return
-        entry = guard.cache.put(self._cache_key, body.encode("utf-8"), _JSON)
-        self._extra_headers.append(("ETag", entry.etag))
-        if self.headers.get("If-None-Match") == entry.etag:
-            self._reply_raw(304, b"", _JSON)
-            return
-        self._reply_raw(200, entry.body, entry.content_type)
-
-    def _reply_cached(self, entry, stale: bool) -> None:
-        """Serve a snapshot byte-identical to when it was cached."""
-        self._extra_headers.append(("ETag", entry.etag))
-        if stale:
-            self._extra_headers.append(("X-Repro-Degraded", "stale"))
-        if self.headers.get("If-None-Match") == entry.etag:
-            self._reply_raw(304, b"", entry.content_type)
-            return
-        self._reply_raw(200, entry.body, entry.content_type)
-
     def _reply(self, code: int, body: str, content_type: str) -> None:
-        self._reply_raw(code, body.encode("utf-8"), content_type)
-
-    def _reply_raw(self, code: int, payload: bytes, content_type: str) -> None:
+        payload = body.encode("utf-8")
         if code >= 500:
             self.server.registry.counter(
                 "serve.http_errors_total",
@@ -305,8 +188,6 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
-        for name, value in self._extra_headers:
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -338,7 +219,6 @@ class TelemetryServer:
         port: int = 0,
         store: TimeSeriesStore | None = None,
         alert_manager: AlertManager | None = None,
-        overload: OverloadGuard | OverloadConfig | None = None,
     ) -> None:
         self._server = _TelemetryHTTPServer((host, port), _TelemetryHandler)
         self._server.registry = (
@@ -348,9 +228,6 @@ class TelemetryServer:
         self._server.ready_fn = ready_fn or (lambda: True)
         self._server.store = store
         self._server.alert_manager = alert_manager
-        if isinstance(overload, OverloadConfig):
-            overload = OverloadGuard(overload, registry=self._server.registry)
-        self._server.overload = overload
         self._thread: threading.Thread | None = None
         self._closed = False
 
@@ -358,11 +235,6 @@ class TelemetryServer:
     def port(self) -> int:
         """The bound TCP port (useful with ``port=0``)."""
         return self._server.server_address[1]
-
-    @property
-    def overload(self) -> OverloadGuard | None:
-        """The overload guard this server consults (None = unprotected)."""
-        return self._server.overload
 
     def start(self) -> int:
         """Begin serving on a daemon thread; returns the bound port.

@@ -4,24 +4,15 @@ The streaming monitor used to consume its feed inline: a bursty producer
 ran as fast as the consumer, and a slow consumer silently stalled the
 feed.  :class:`IngestQueue` is the explicit handoff — a bounded buffer
 whose depth **never** exceeds ``maxsize`` (property-tested over random
-burst schedules in ``tests/serve/test_ingest_queue.py``) with three
-overflow policies:
+burst schedules in ``tests/serve/test_ingest_queue.py``).  A full queue
+makes the producer wait for space: classic backpressure, so nothing is
+ever dropped and the feed slows to the consumer's pace.
 
-``block``
-    The producer waits for space — classic backpressure; nothing is ever
-    dropped, the feed slows to the consumer's pace.
-``drop-oldest``
-    The oldest queued block is evicted to admit the new one — bounded
-    staleness; the monitor always sees the most recent blocks.
-``shed``
-    The new block is refused — bounded work; the feed is told (``put``
-    returns ``False``) so upstream accounting stays exact.
-
-Depth, peak depth, enqueue and drop totals land on the metrics registry
+Depth, peak depth and enqueue totals land on the metrics registry
 (``monitor.ingest.*``) so ``/metrics`` scrapes, the ``/status`` ``ingest``
 section, ``repro top`` and SLOs over the recorded history all see queue
 pressure; :func:`repro.serve.monitor.run_monitor` wires one in with
-``--ingest-queue N --ingest-policy ...``.
+``--ingest-queue N``.
 """
 
 from __future__ import annotations
@@ -33,12 +24,9 @@ from typing import Callable, Iterator
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry
 
-#: Recognized overflow policies, in CLI spelling.
-INGEST_POLICIES = ("block", "drop-oldest", "shed")
-
 
 class IngestQueue:
-    """A bounded, closable FIFO handoff with explicit overflow policy.
+    """A bounded, closable FIFO handoff that blocks its producer when full.
 
     ``put`` never grows the buffer past ``maxsize``; ``get`` blocks until
     an item arrives or the queue is closed and drained.  Iterating the
@@ -49,50 +37,33 @@ class IngestQueue:
     def __init__(
         self,
         maxsize: int,
-        policy: str = "block",
         registry: MetricsRegistry | None = None,
         should_abort: Callable[[], bool] | None = None,
     ) -> None:
         if maxsize < 1:
             raise ValidationError(f"maxsize must be >= 1, got {maxsize}")
-        if policy not in INGEST_POLICIES:
-            raise ValidationError(
-                f"unknown ingest policy {policy!r} "
-                f"(expected one of {', '.join(INGEST_POLICIES)})"
-            )
         self.maxsize = maxsize
-        self.policy = policy
         self._items: deque = deque()
         self._cond = threading.Condition()
         self._closed = False
         self.enqueued_total = 0
-        self.dropped_total = 0
         self.consumed_total = 0
         self.peak_depth = 0
         self._registry = registry
-        #: Polled while a ``block`` put waits, so a stopping monitor can
+        #: Polled while a put waits, so a stopping monitor can
         #: unwedge a blocked producer without closing the queue first.
         self._should_abort = should_abort or (lambda: False)
 
     def put(self, item: object, poll: float = 0.05) -> bool:
-        """Offer one item; returns False when it was dropped (or aborted).
+        """Offer one item, waiting for space; False if closed or aborted.
 
-        Under ``block`` the call waits for space (checking the abort
-        hook every ``poll`` seconds); under ``drop-oldest`` the oldest
-        queued item is evicted to make room; under ``shed`` a full queue
-        refuses the new item.
+        While the queue is full the call waits, checking the abort hook
+        every ``poll`` seconds.
         """
         with self._cond:
             if self._closed:
                 return False
             while len(self._items) >= self.maxsize:
-                if self.policy == "drop-oldest":
-                    self._items.popleft()
-                    self._drop(1)
-                    break
-                if self.policy == "shed":
-                    self._drop(1)
-                    return False
                 self._cond.wait(poll)
                 if self._closed or self._should_abort():
                     return False
@@ -144,14 +115,6 @@ class IngestQueue:
     def __next__(self) -> object:
         return self.get()
 
-    def _drop(self, n: int) -> None:
-        self.dropped_total += n
-        if self._registry is not None:
-            self._registry.counter(
-                "monitor.ingest.dropped_total",
-                help="Blocks dropped by the ingest queue overflow policy.",
-            ).inc(n)
-
     def _observe_depth(self) -> None:
         depth = len(self._items)
         if depth > self.peak_depth:
@@ -166,12 +129,10 @@ class IngestQueue:
         """JSON-ready view for the ``/status`` ``ingest`` section."""
         with self._cond:
             return {
-                "policy": self.policy,
                 "maxsize": self.maxsize,
                 "depth": len(self._items),
                 "peak_depth": self.peak_depth,
                 "enqueued_total": self.enqueued_total,
                 "consumed_total": self.consumed_total,
-                "dropped_total": self.dropped_total,
                 "closed": self._closed,
             }

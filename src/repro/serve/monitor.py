@@ -5,8 +5,7 @@
 :class:`~repro.core.streaming.StreamingMonitor`, optionally behind a
 bounded :class:`~repro.serve.ingest.IngestQueue` (backpressure between
 the feed and the monitor), while a :class:`~repro.serve.http.TelemetryServer`
-— optionally wrapped in an :class:`~repro.serve.overload.OverloadGuard`
-— answers scrapes concurrently.
+answers scrapes concurrently.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.supervisor import MonitorSupervisor
 from repro.serve.http import TelemetryServer
 from repro.serve.ingest import IngestQueue
-from repro.serve.overload import OverloadConfig, OverloadGuard
 from repro.serve.state import MonitorState
 
 logger = logging.getLogger(__name__)
@@ -54,7 +52,6 @@ class MonitorRun:
     restarts: int = 0
     alerts_fired: int = 0
     alerts_resolved: int = 0
-    ingest_dropped: int = 0
 
 
 def run_monitor(
@@ -79,9 +76,7 @@ def run_monitor(
     history: bool = True,
     slos: Sequence[SLO] = (),
     alert_sinks: Sequence[AlertSink] = (),
-    overload: OverloadGuard | OverloadConfig | None = None,
     ingest_queue: int | None = None,
-    ingest_policy: str = "block",
 ) -> MonitorRun:
     """Replay ``feed`` through a streaming monitor, optionally serving scrapes.
 
@@ -126,14 +121,11 @@ def run_monitor(
     add burn-rate rules (:meth:`~repro.obs.slo.SLOEngine.rules`) to the
     manager; SLOs need that history.
 
-    ``overload`` attaches the admission/rate-limit/shedding layer to the
-    telemetry server (an :class:`~repro.serve.overload.OverloadConfig` is
-    wired to the monitor's degraded state automatically).  With
-    ``ingest_queue`` the feed is decoupled from the monitor by a bounded
-    :class:`~repro.serve.ingest.IngestQueue` of that depth: a feeder
-    thread pumps blocks in under ``ingest_policy`` (``block`` |
-    ``drop-oldest`` | ``shed``) while the ingest loop consumes — queue
-    depth and drop counts surface in ``/metrics`` and ``/status``.
+    With ``ingest_queue`` the feed is decoupled from the monitor by a
+    bounded :class:`~repro.serve.ingest.IngestQueue` of that depth: a
+    feeder thread pumps items in, waiting while the queue is full, and
+    the ingest loop consumes them — queue depth surfaces in ``/metrics``
+    and ``/status``.
     """
     monitor = StreamingMonitor(window_size, stride, metrics=metrics)
     known = (*monitor.metric_names, *PROGRESS_METRICS)
@@ -177,21 +169,11 @@ def run_monitor(
             for name in metrics
         }
 
-    if isinstance(overload, OverloadConfig):
-        overload = OverloadGuard(
-            overload, registry=registry, degraded_fn=state.is_degraded
-        )
-    if overload is not None:
-        state.overload_fn = overload.snapshot
-
     queue: IngestQueue | None = None
     feeder: threading.Thread | None = None
     if ingest_queue is not None:
         queue = IngestQueue(
-            ingest_queue,
-            policy=ingest_policy,
-            registry=registry,
-            should_abort=stop_event.is_set,
+            ingest_queue, registry=registry, should_abort=stop_event.is_set
         )
         state.ingest_fn = queue.stats
 
@@ -208,7 +190,6 @@ def run_monitor(
         server = TelemetryServer(
             registry, status_fn=state.snapshot, ready_fn=state.is_ready,
             port=serve_port, store=store, alert_manager=manager,
-            overload=overload,
         )
         port = server.start()
         print_fn(f"serving telemetry on http://127.0.0.1:{port}")
@@ -229,7 +210,7 @@ def run_monitor(
 
         ``throttle`` simulates a live feed, so with a queue it paces the
         *producer* — the consumer drains at full speed and the queue
-        absorbs (or sheds) the mismatch.
+        absorbs the mismatch.
         """
         assert queue is not None
         try:
@@ -320,5 +301,4 @@ def run_monitor(
         restarts=supervisor.restarts if supervisor is not None else 0,
         alerts_fired=manager.fired_total,
         alerts_resolved=manager.resolved_total,
-        ingest_dropped=queue.dropped_total if queue is not None else 0,
     )

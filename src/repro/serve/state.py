@@ -4,7 +4,7 @@
 touch: the ingest loop records pushes, evaluations, crashes and
 restarts; the HTTP handlers read readiness for ``/readyz`` and render
 the full snapshot for ``/status``.  Optional section providers
-(``alerts_fn``, ``slo_fn``, ``overload_fn``, ``ingest_fn``, ...) are
+(``alerts_fn``, ``slo_fn``, ``ingest_fn``, ...) are
 wired by :func:`repro.serve.monitor.run_monitor` when the matching
 subsystem is enabled; each feeds one ``/status`` key.
 """
@@ -55,10 +55,8 @@ class MonitorState:
         self.slo_fn: Callable[[], dict] | None = None
         self.timeseries_fn: Callable[[], dict] | None = None
         self.sparklines_fn: Callable[[], dict] | None = None
-        #: Overload-layer and ingest-queue snapshots (wired when the
-        #: monitor runs with an :class:`~repro.serve.overload.OverloadGuard`
-        #: or an :class:`~repro.serve.ingest.IngestQueue`).
-        self.overload_fn: Callable[[], dict] | None = None
+        #: Ingest-queue snapshot (wired when the monitor runs with an
+        #: :class:`~repro.serve.ingest.IngestQueue`).
         self.ingest_fn: Callable[[], dict] | None = None
 
     def record_push(self, blocks_ingested: int) -> None:
@@ -105,16 +103,6 @@ class MonitorState:
         with self._lock:
             return self.ready and not self.degraded
 
-    def is_degraded(self) -> bool:
-        """Whether the ingest loop crashed and has not yet proven recovery.
-
-        The overload layer's :class:`~repro.serve.overload.LoadShedder`
-        uses this as its degrade trigger: a crashed monitor serves stale
-        snapshots rather than half-updated fresh ones.
-        """
-        with self._lock:
-            return self.degraded
-
     def snapshot(self) -> dict:
         """A JSON-ready view for the ``/status`` endpoint."""
         with self._lock:
@@ -149,8 +137,7 @@ class MonitorState:
                 },
                 "quality": self.quality,
             }
-        # Section providers run outside the lock: the overload section's
-        # shedder re-enters is_degraded(), which needs the lock back.
+        # Section providers run outside the lock: they take their own.
         data["resilience"]["faults"] = self.faults_fn() if self.faults_fn else None
         data.update({
             "workers": pool_status(),
@@ -160,7 +147,6 @@ class MonitorState:
             "slo": self.slo_fn() if self.slo_fn else None,
             "timeseries": self.timeseries_fn() if self.timeseries_fn else None,
             "sparklines": self.sparklines_fn() if self.sparklines_fn else None,
-            "overload": self.overload_fn() if self.overload_fn else None,
             "ingest": self.ingest_fn() if self.ingest_fn else None,
         })
         return data

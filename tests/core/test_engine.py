@@ -1,5 +1,7 @@
 """Tests for the measurement engine on small chains."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,49 @@ class TestMeasureSliding:
     def test_explicit_step(self, engine):
         series = engine.measure_sliding("entropy", size=4, step=4)
         assert len(series) == 3
+
+
+class TestSlidingFallbackWarning:
+    """The generic-sweep warning names the reason that actually applies."""
+
+    @pytest.fixture(autouse=True)
+    def propagate(self, monkeypatch):
+        # ``repro.cli.main`` may have turned propagation off for ``repro``.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+
+    def _fallback_messages(self, caplog, run):
+        with caplog.at_level(logging.WARNING, logger="repro.core.engine"):
+            run()
+        return [
+            r.getMessage() for r in caplog.records if "fell off" in r.getMessage()
+        ]
+
+    def test_over_budget_says_budget(self, engine, caplog, monkeypatch):
+        monkeypatch.setattr("repro.chain.attribution._SEGMENT_BUDGET", 4)
+        messages = self._fallback_messages(
+            caplog, lambda: engine.measure_sliding_many(["gini"], size=4, step=2)
+        )
+        assert len(messages) == 1
+        assert "6 segments x 3 entities is over the 4-cell dense budget" in messages[0]
+        assert "%" not in messages[0]
+
+    @pytest.mark.parametrize(
+        "size, step, reason",
+        [
+            (4, 3, "(size % step != 0)"),
+            (20, 10, "(window longer than the chain's 12 blocks)"),
+        ],
+    )
+    def test_reason_names_the_cause(self, engine, caplog, size, step, reason):
+        for run in (
+            lambda: engine.measure_sliding_many(["gini"], size=size, step=step),
+            lambda: engine.measure_sliding("gini", size=size, step=step),
+        ):
+            caplog.clear()
+            messages = self._fallback_messages(caplog, run)
+            assert len(messages) == 1
+            assert reason in messages[0]
+            assert "budget" not in messages[0]
 
 
 class TestMetricDispatch:

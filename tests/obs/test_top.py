@@ -230,40 +230,19 @@ class TestRunTop:
         assert len(frames) == 1
 
 
-class TestOverloadPanels:
-    OVERLOADED = {
+class TestQueuePanel:
+    QUEUED = {
         "chain": "bitcoin",
         "blocks_ingested": 100,
-        "overload": {
-            "admission": {"max_inflight": 4, "max_queue": 8, "inflight": 2,
-                          "waiting": 1, "admitted_total": 90,
-                          "queued_total": 12, "rejected_total": 7},
-            "ratelimit": {"rate": 50.0, "burst": 100.0, "clients": 3,
-                          "allowed_total": 80, "throttled_total": 20,
-                          "evicted_total": 0},
-            "cache": {"ttl": 1.0, "entries": 2, "hits": 40,
-                      "stale_hits": 5, "misses": 10},
-            "shedder": {"state": "open", "open_count": 1,
-                        "shed_total": 6, "degraded": False},
-        },
-        "ingest": {"policy": "drop-oldest", "maxsize": 64, "depth": 12,
-                   "peak_depth": 64, "enqueued_total": 500,
-                   "consumed_total": 450, "dropped_total": 38,
+        "ingest": {"maxsize": 64, "depth": 12, "peak_depth": 64,
+                   "enqueued_total": 500, "consumed_total": 488,
                    "closed": False},
     }
 
-    def test_overload_panel_shows_shed_admission_and_throttle(self):
-        frame = render_dashboard(self.OVERLOADED)
-        assert "overload  shed=open shed_total=6" in frame
-        assert "cache_hits=40+5 stale" in frame
-        assert "inflight=2/4 rejected=7" in frame
-        assert "throttled=20 (3 clients)" in frame
+    def test_ingest_queue_panel_shows_depth_and_peak(self):
+        frame = render_dashboard(self.QUEUED)
+        assert "queue     depth=12/64 peak=64" in frame
 
-    def test_ingest_queue_panel_shows_depth_and_drops(self):
-        frame = render_dashboard(self.OVERLOADED)
-        assert "queue     policy=drop-oldest depth=12/64 peak=64 dropped=38" in frame
-
-    def test_panels_absent_when_guard_not_configured(self):
+    def test_panel_absent_without_ingest_queue(self):
         frame = render_dashboard({"chain": "bitcoin"})
-        assert "overload" not in frame
         assert "queue " not in frame

@@ -154,6 +154,25 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.OPEN
         assert not breaker.allow()
 
+    def test_late_failure_on_open_circuit_is_ignored(self):
+        """Calls admitted while closed that fail after the circuit opened
+        neither extend the failure run nor restart the cool-down."""
+        clock = ManualClock()
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=10.0, clock=clock)
+        assert all(breaker.allow() for _ in range(3))
+        breaker.record_failure()
+        clock.advance(1.0)
+        breaker.record_failure()  # trips the circuit at t=1
+        assert breaker.state == CircuitBreaker.OPEN
+        clock.advance(5.0)
+        breaker.record_failure()  # late: admitted before the trip
+        assert breaker.failure_count == 2
+        assert breaker.open_count == 1
+        clock.advance(4.0)  # t=10: 9 s after the trip
+        assert breaker.state == CircuitBreaker.OPEN
+        clock.advance(1.0)  # t=11: the cool-down ran from the second failure
+        assert breaker.state == CircuitBreaker.HALF_OPEN
+
     def test_open_breaker_rejects_before_calling(self):
         clock = ManualClock()
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0, clock=clock)

@@ -1,12 +1,11 @@
-"""Degraded-mode behaviour under concurrent load (satellite d).
+"""Degraded-mode behaviour under concurrent load.
 
-The acceptance test: parallel requests fired across a monitor
-crash -> restart window must each resolve to one of the allowed
-outcomes — 200 fresh, 200 stale-marked, 429 rate-limited, or 503 with
-``Retry-After`` — never a connection reset or an unhandled 5xx.
+The acceptance test: parallel ``/status`` requests fired across a
+monitor crash -> restart window must each get a 200 — never a
+connection reset or a 5xx — while ``/readyz`` reports the degraded
+window as 503 and recovers to 200.
 """
 
-import json
 import threading
 import time
 import urllib.error
@@ -15,7 +14,7 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.serve import OverloadConfig, run_monitor
+from repro.serve import run_monitor
 
 
 @pytest.fixture(autouse=True)
@@ -35,14 +34,12 @@ def wait_until(predicate, timeout: float = 10.0, interval: float = 0.02):
     return False
 
 
-def http_probe(port: int, path: str, client_id: str):
+def http_probe(port: int, path: str):
     """GET -> (status, headers) or ('error', reason) — never raises."""
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}",
-        headers={"X-Client-Id": client_id},
-    )
     try:
-        with urllib.request.urlopen(request, timeout=5.0) as response:
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{port}{path}", timeout=5.0
+        ) as response:
             response.read()
             return response.status, response.headers
     except urllib.error.HTTPError as err:
@@ -57,7 +54,7 @@ class TestDegradedConcurrentResponses:
         self, tmp_path
     ):
         """Fire parallel /status requests while the monitor crashes on a
-        poison block and restarts; classify every single response."""
+        poison block and restarts; every single answer must be a 200."""
         gate = threading.Event()
         stop = threading.Event()
         port_file = tmp_path / "port"
@@ -84,71 +81,45 @@ class TestDegradedConcurrentResponses:
                     stop_event=stop,
                     max_restarts=2,
                     restart_backoff=0.05,
-                    overload=OverloadConfig(
-                        max_inflight=2,
-                        max_queue=1,
-                        queue_timeout=0.05,
-                        rate_limit=200.0,
-                        burst=50,
-                        cache_ttl=0.05,
-                    ),
                     print_fn=lambda _line: None,
                 )
             )
 
         monitor_thread = threading.Thread(target=run)
         monitor_thread.start()
-        outcomes: list[str] = []
+        outcomes: list[int] = []
         bad: list[str] = []
         lock = threading.Lock()
         hammer_stop = threading.Event()
 
-        def classify(status, headers) -> str:
-            if status == 200:
-                if headers.get("X-Repro-Degraded") == "stale":
-                    return "200-stale"
-                return "200-fresh"
-            if status == 429:
-                if headers.get("RateLimit-Limit") is None:
-                    return f"429 without RateLimit headers"
-                return "429"
-            if status == 503:
-                if headers.get("Retry-After") is None:
-                    return "503 without Retry-After"
-                return "503"
-            return f"unexpected {status}: {headers}"
-
-        def hammer(index: int) -> None:
+        def hammer() -> None:
             while not hammer_stop.is_set():
-                status, headers = http_probe(port, "/status", f"client-{index}")
-                verdict = (
-                    f"connection error: {headers}"
-                    if status == "error"
-                    else classify(status, headers)
-                )
+                status, detail = http_probe(port, "/status")
                 with lock:
-                    if verdict in ("200-fresh", "200-stale", "429", "503"):
-                        outcomes.append(verdict)
+                    if status == 200:
+                        outcomes.append(status)
+                    elif status == "error":
+                        bad.append(f"connection error: {detail}")
                     else:
-                        bad.append(verdict)
+                        bad.append(f"unexpected {status}")
 
         hammers = []
         try:
             assert wait_until(port_file.exists), "port file never appeared"
             port = int(port_file.read_text().strip())
             # Start hammering before the crash is visible, ride through it.
-            for i in range(6):
-                t = threading.Thread(target=hammer, args=(i,), daemon=True)
+            for _ in range(6):
+                t = threading.Thread(target=hammer, daemon=True)
                 t.start()
                 hammers.append(t)
             assert wait_until(
-                lambda: http_probe(port, "/readyz", "probe")[0] == 503
+                lambda: http_probe(port, "/readyz")[0] == 503
             ), "the poison block never degraded readiness"
             # Keep hammering through the degraded window...
             time.sleep(0.3)
             gate.set()  # ...and across the restart back to healthy.
             assert wait_until(
-                lambda: http_probe(port, "/readyz", "probe")[0] == 200
+                lambda: http_probe(port, "/readyz")[0] == 200
             ), "the restarted monitor never recovered"
             time.sleep(0.2)
         finally:
@@ -161,80 +132,6 @@ class TestDegradedConcurrentResponses:
         assert not monitor_thread.is_alive()
         assert bad == [], f"disallowed responses: {bad[:10]}"
         assert outcomes, "the hammer never completed a request"
-        # The crash window must actually have produced degraded service:
-        # at least one stale-marked answer proves shedding engaged.
-        counts = {kind: outcomes.count(kind) for kind in set(outcomes)}
-        assert counts.get("200-stale", 0) >= 1, counts
         (result,) = results
         assert result.restarts == 1
         assert result.blocks == 70
-
-    def test_degraded_status_serves_stale_snapshot_bytes(self, tmp_path):
-        """While the monitor is degraded, /status answers with the last
-        fresh snapshot byte-identical, marked X-Repro-Degraded."""
-        pre_gate = threading.Event()  # holds the feed healthy pre-crash
-        gate = threading.Event()
-        stop = threading.Event()
-        port_file = tmp_path / "port"
-
-        def poisoned_feed():
-            for i in range(20):
-                yield [f"pool-{i % 3}"]
-            assert pre_gate.wait(timeout=30.0)
-            yield []  # poison
-            assert gate.wait(timeout=30.0)
-
-        def run():
-            run_monitor(
-                poisoned_feed(),
-                window_size=10,
-                stride=5,
-                chain="stale-bytes",
-                serve_port=0,
-                linger=-1.0,
-                port_file=str(port_file),
-                stop_event=stop,
-                max_restarts=2,
-                restart_backoff=5.0,  # stay visibly degraded
-                overload=OverloadConfig(cache_ttl=3600.0),
-                print_fn=lambda _line: None,
-            )
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        try:
-            assert wait_until(port_file.exists), "port file never appeared"
-            port = int(port_file.read_text().strip())
-            assert wait_until(
-                lambda: json.loads(
-                    urllib.request.urlopen(
-                        f"http://127.0.0.1:{port}/status", timeout=5.0
-                    ).read()
-                )["blocks_ingested"] == 20
-            )
-            # Cache the healthy snapshot, then crash the ingest loop.
-            status, headers = http_probe(port, "/status", "reader")
-            assert status == 200 and headers.get("X-Repro-Degraded") is None
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/status", timeout=5.0
-            ) as response:
-                fresh_body = response.read()
-            pre_gate.set()  # release the poison block: the loop crashes
-            assert wait_until(
-                lambda: http_probe(port, "/readyz", "probe")[0] == 503
-            )
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{port}/status",
-                headers={"X-Client-Id": "reader"},
-            )
-            with urllib.request.urlopen(request, timeout=5.0) as response:
-                stale_headers = response.headers
-                stale_body = response.read()
-            assert stale_headers.get("X-Repro-Degraded") == "stale"
-            assert stale_body == fresh_body  # byte-identical snapshot
-        finally:
-            pre_gate.set()
-            gate.set()
-            stop.set()
-            thread.join(timeout=30.0)
-        assert not thread.is_alive()

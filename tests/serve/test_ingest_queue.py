@@ -1,10 +1,9 @@
 """Tests for the bounded backpressure ingest queue.
 
-The acceptance property from the issue: **queue depth never exceeds the
-configured bound**, for all three ``--ingest-policy`` modes, over random
-burst schedules — plus item conservation (every offered block is
-consumed, still buffered, or counted dropped; nothing vanishes and
-nothing is duplicated).
+The acceptance property: **queue depth never exceeds the configured
+bound** over random burst schedules — plus item conservation (every
+offered block is consumed or still buffered; nothing vanishes, nothing
+is duplicated, and FIFO order holds).
 """
 
 import threading
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.ingest import INGEST_POLICIES, IngestQueue
+from repro.serve.ingest import IngestQueue
 
 #: A burst schedule: rounds of (puts, gets) arrivals — gets are clamped
 #: to what is actually buffered, so schedules never deadlock.
@@ -31,45 +30,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             IngestQueue(0)
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValidationError, match="unknown ingest policy"):
-            IngestQueue(4, policy="explode")
-
-
-class TestShedPolicy:
-    def test_full_queue_refuses_new_items(self):
-        queue = IngestQueue(2, policy="shed")
-        assert queue.put("a")
-        assert queue.put("b")
-        assert not queue.put("c")  # full: the incoming block is shed
-        assert queue.depth() == 2
-        assert queue.dropped_total == 1
-        assert queue.get() == "a"  # FIFO order, oldest survives
-
-    def test_space_freed_by_get_admits_again(self):
-        queue = IngestQueue(1, policy="shed")
-        queue.put("a")
-        assert not queue.put("b")
-        queue.get()
-        assert queue.put("c")
-        assert queue.get() == "c"
-
-
-class TestDropOldestPolicy:
-    def test_full_queue_evicts_the_head(self):
-        queue = IngestQueue(2, policy="drop-oldest")
-        assert queue.put("a")
-        assert queue.put("b")
-        assert queue.put("c")  # evicts a
-        assert queue.depth() == 2
-        assert queue.dropped_total == 1
-        assert queue.get() == "b"
-        assert queue.get() == "c"
-
 
 class TestBlockPolicy:
     def test_producer_waits_for_consumer(self):
-        queue = IngestQueue(1, policy="block")
+        queue = IngestQueue(1)
         queue.put("a")
         produced = threading.Event()
 
@@ -84,11 +48,10 @@ class TestBlockPolicy:
         assert produced.wait(5.0)
         thread.join(timeout=5.0)
         assert queue.get() == "b"
-        assert queue.dropped_total == 0
 
     def test_abort_hook_unwedges_a_blocked_producer(self):
         stop = threading.Event()
-        queue = IngestQueue(1, policy="block", should_abort=stop.is_set)
+        queue = IngestQueue(1, should_abort=stop.is_set)
         queue.put("a")
         outcomes = []
         thread = threading.Thread(
@@ -134,44 +97,37 @@ class TestCloseAndIteration:
 class TestMetrics:
     def test_depth_and_totals_reach_the_registry(self):
         registry = MetricsRegistry()
-        queue = IngestQueue(2, policy="drop-oldest", registry=registry)
+        queue = IngestQueue(2, registry=registry)
         queue.put("a")
         queue.put("b")
-        queue.put("c")
         snap = registry.snapshot()
         assert snap["gauges"]["monitor.ingest.queue_depth"] == 2.0
-        assert snap["counters"]["monitor.ingest.enqueued_total"] == 3
-        assert snap["counters"]["monitor.ingest.dropped_total"] == 1
+        assert snap["counters"]["monitor.ingest.enqueued_total"] == 2
         queue.get()
         snap = registry.snapshot()
         assert snap["gauges"]["monitor.ingest.queue_depth"] == 1.0
 
 
 class TestBurstScheduleProperties:
-    """The acceptance property: depth <= bound, items conserved."""
+    """The acceptance property: depth <= bound, items conserved, FIFO."""
 
-    @given(
-        maxsize=st.integers(1, 6),
-        policy=st.sampled_from(INGEST_POLICIES),
-        schedule=burst_schedules,
-    )
+    @given(maxsize=st.integers(1, 6), schedule=burst_schedules)
     @settings(max_examples=80, deadline=None)
     def test_depth_never_exceeds_bound_and_items_are_conserved(
-        self, maxsize, policy, schedule
+        self, maxsize, schedule
     ):
-        # Under "block" a put on a full queue would wait for a consumer;
-        # this single-threaded harness sheds instead of waiting, which
-        # exercises the same bound (the threaded test below covers real
-        # blocking).  Offered counts stay exact either way.
-        queue = IngestQueue(maxsize, policy=policy)
+        # A put on a full queue waits for a consumer; this single-threaded
+        # harness skips that put instead of parking (the threaded test
+        # below covers real blocking).
+        queue = IngestQueue(maxsize)
         offered = 0
         consumed = []
         next_item = 0
         for puts, gets in schedule:
             for _ in range(puts):
-                if policy == "block" and queue.depth() >= maxsize:
+                if queue.depth() >= maxsize:
                     continue  # a real producer would park here
-                queue.put(next_item)
+                assert queue.put(next_item)
                 offered += 1
                 next_item += 1
                 assert queue.depth() <= maxsize
@@ -181,33 +137,19 @@ class TestBurstScheduleProperties:
                     break
                 consumed.append(queue.get())
                 assert queue.depth() <= maxsize
-        # Conservation: every offered item was consumed, is still
-        # buffered, or was counted dropped — no loss, no duplication.
-        assert queue.enqueued_total + (
-            queue.dropped_total if policy == "shed" else 0
-        ) == offered
+        # Conservation: every offered item was consumed or is still
+        # buffered — no loss, no duplication.
+        assert queue.enqueued_total == offered
         assert queue.consumed_total == len(consumed)
-        assert (
-            queue.enqueued_total
-            == queue.consumed_total + queue.depth() + (
-                queue.dropped_total if policy == "drop-oldest" else 0
-            )
-        )
-        assert len(consumed) == len(set(consumed))  # nothing duplicated
-        assert consumed == sorted(consumed)  # FIFO order preserved
-        if policy == "block":
-            assert queue.dropped_total == 0
+        assert queue.enqueued_total == queue.consumed_total + queue.depth()
+        assert consumed == list(range(len(consumed)))  # FIFO, no duplicates
 
-    @given(
-        maxsize=st.integers(1, 4),
-        policy=st.sampled_from(INGEST_POLICIES),
-        n_items=st.integers(1, 60),
-    )
+    @given(maxsize=st.integers(1, 4), n_items=st.integers(1, 60))
     @settings(max_examples=25, deadline=None)
     def test_threaded_producer_consumer_respects_the_bound(
-        self, maxsize, policy, n_items
+        self, maxsize, n_items
     ):
-        queue = IngestQueue(maxsize, policy=policy)
+        queue = IngestQueue(maxsize)
         consumed = []
 
         def consumer():
@@ -224,12 +166,6 @@ class TestBurstScheduleProperties:
         thread.join(timeout=30.0)
         assert not thread.is_alive()
         assert queue.peak_depth <= maxsize
-        if policy == "block":
-            # Backpressure never drops: everything offered arrives, in order.
-            assert accepted == n_items
-            assert consumed == list(range(n_items))
-        else:
-            # Whatever survived arrives exactly once, in order.
-            assert len(consumed) == len(set(consumed))
-            assert consumed == sorted(consumed)
-            assert accepted + queue.dropped_total >= n_items
+        # Backpressure never drops: everything offered arrives, in order.
+        assert accepted == n_items
+        assert consumed == list(range(n_items))

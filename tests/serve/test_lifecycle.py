@@ -1,14 +1,12 @@
 """Lifecycle hardening and error-body contract for the telemetry server.
 
-Satellites (b) and (c) of the overload issue: ``start()`` twice raises a
-clear :class:`~repro.errors.ServeError`, ``stop()`` is idempotent, a
-handler exception becomes a structured 500 JSON body (and bumps
+``start()`` twice raises a clear :class:`~repro.errors.ServeError`,
+``stop()`` is idempotent, a handler exception becomes a structured 500 JSON body (and bumps
 ``serve.http_errors_total``), and every 4xx/5xx on the API carries the
 standardized ``{"error": {"code": ..., "message": ...}}`` shape.
 """
 
 import json
-import time
 import urllib.error
 import urllib.request
 
@@ -16,17 +14,15 @@ import pytest
 
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import OverloadConfig, OverloadGuard, TelemetryServer, error_body
+from repro.serve import TelemetryServer, error_body
 
 
-def http_get(port: int, path: str, headers: dict | None = None,
-             timeout: float = 5.0):
+def http_get(port: int, path: str, timeout: float = 5.0):
     """GET localhost -> (status, headers, body_text)."""
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}", headers=headers or {}
-    )
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{port}{path}", timeout=timeout
+        ) as response:
             return response.status, response.headers, response.read().decode()
     except urllib.error.HTTPError as err:
         return err.code, err.headers, err.read().decode()
@@ -146,111 +142,3 @@ class TestErrorBodyContract:
         assert status == 503
         assert headers.get("Content-Type").startswith("application/json")
         assert error_payload(body)["code"] == "not_ready"
-
-
-class TestOverloadIntegration:
-    def _server(self, **config_kwargs):
-        registry = MetricsRegistry()
-        guard = OverloadGuard(OverloadConfig(**config_kwargs), registry=registry)
-        server = TelemetryServer(
-            registry, status_fn=lambda: {"chain": "demo"}, overload=guard
-        )
-        return server, guard, registry
-
-    def test_rate_limited_client_gets_429_with_headers(self):
-        server, _, registry = self._server(rate_limit=0.1, burst=2)
-        with server:
-            client = {"X-Client-Id": "greedy"}
-            codes = [
-                http_get(server.port, "/metrics", headers=client)[0]
-                for _ in range(4)
-            ]
-            assert codes.count(200) == 2
-            assert codes.count(429) == 2
-            status, headers, body = http_get(
-                server.port, "/metrics", headers=client
-            )
-            assert status == 429
-            assert headers.get("RateLimit-Limit") == "0.1"
-            assert headers.get("RateLimit-Remaining") == "0"
-            assert headers.get("Retry-After") is not None
-            assert error_payload(body)["code"] == "rate_limited"
-        counters = registry.snapshot()["counters"]
-        assert counters["serve.ratelimit.throttled_total"] == 3
-
-    def test_distinct_clients_have_distinct_budgets(self):
-        server, _, _ = self._server(rate_limit=0.1, burst=1)
-        with server:
-            assert http_get(server.port, "/metrics",
-                            headers={"X-Client-Id": "a"})[0] == 200
-            assert http_get(server.port, "/metrics",
-                            headers={"X-Client-Id": "a"})[0] == 429
-            assert http_get(server.port, "/metrics",
-                            headers={"X-Client-Id": "b"})[0] == 200
-
-    def test_healthz_is_never_rate_limited(self):
-        server, _, _ = self._server(rate_limit=0.1, burst=1)
-        with server:
-            client = {"X-Client-Id": "probe"}
-            codes = [
-                http_get(server.port, "/healthz", headers=client)[0]
-                for _ in range(10)
-            ]
-        assert codes == [200] * 10
-
-    def test_status_carries_etag_and_304_on_revalidation(self):
-        server, _, _ = self._server(cache_ttl=60.0)
-        with server:
-            status, headers, body = http_get(server.port, "/status")
-            assert status == 200
-            etag = headers.get("ETag")
-            assert etag and etag.startswith('"')
-            status, headers2, body2 = http_get(
-                server.port, "/status", headers={"If-None-Match": etag}
-            )
-            assert status == 304
-            assert body2 == ""
-            assert headers2.get("ETag") == etag
-
-    def test_fresh_cache_hits_are_byte_identical(self):
-        server, guard, _ = self._server(cache_ttl=60.0)
-        with server:
-            first = http_get(server.port, "/status")[2]
-            second = http_get(server.port, "/status")[2]
-        assert first == second
-        assert guard.cache.snapshot()["hits"] >= 1
-
-    def test_saturated_admission_returns_503_with_retry_after(self):
-        server, guard, _ = self._server(
-            max_inflight=1, max_queue=0, queue_timeout=0.0
-        )
-        with server:
-            # Hold the only slot by hand: the next arrival must be shed.
-            assert guard.admission.acquire()
-            try:
-                status, headers, body = http_get(server.port, "/metrics")
-            finally:
-                guard.admission.release()
-            assert status == 503
-            assert headers.get("Retry-After") is not None
-            assert error_payload(body)["code"] == "overloaded"
-
-    def test_saturated_cacheable_path_serves_stale_snapshot(self):
-        server, guard, _ = self._server(
-            max_inflight=1, max_queue=0, queue_timeout=0.0, cache_ttl=0.0
-        )
-        with server:
-            fresh_body = http_get(server.port, "/status")[2]  # caches it
-            # The handler releases its slot just after replying; wait for
-            # that before grabbing the only slot ourselves.
-            deadline = time.monotonic() + 5.0
-            while not guard.admission.acquire():
-                assert time.monotonic() < deadline, "slot never released"
-                time.sleep(0.005)
-            try:
-                status, headers, stale_body = http_get(server.port, "/status")
-            finally:
-                guard.admission.release()
-            assert status == 200
-            assert headers.get("X-Repro-Degraded") == "stale"
-            assert stale_body == fresh_body  # byte-identical

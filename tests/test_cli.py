@@ -831,66 +831,7 @@ class TestAlertsCommand:
         assert "skipped 1 malformed" in captured.err
 
 
-class TestLoadgenCommand:
-    def test_url_and_port_are_mutually_exclusive(self, capsys):
-        code = main(["loadgen", "--url", "http://x", "--port", "80"])
-        assert code == 2
-        assert "not both" in capsys.readouterr().err
-
-    def test_needs_a_target(self, capsys):
-        assert main(["loadgen"]) == 2
-        assert "--url or --port" in capsys.readouterr().err
-
-    def test_bad_duration_exits_2(self, capsys):
-        code = main(["loadgen", "--port", "80", "--duration", "0"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_open_mode_requires_rps(self, capsys):
-        code = main(["loadgen", "--port", "80", "--mode", "open"])
-        assert code == 2
-        assert "--rps" in capsys.readouterr().err
-
-    def test_runs_against_a_live_server_and_prints_report(self, capsys):
-        from repro.obs.metrics import MetricsRegistry
-        from repro.serve import TelemetryServer
-
-        with TelemetryServer(
-            MetricsRegistry(), status_fn=lambda: {"ok": True}
-        ) as server:
-            code = main(
-                ["loadgen", "--port", str(server.port), "--duration", "0.3",
-                 "--clients", "2", "--fail-on-unhandled"]
-            )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "loadgen status,200 count=" in out
-        assert "unhandled_5xx=0" in out
-        assert "latency_ms p50=" in out
-
-    def test_fail_on_unhandled_exits_1_for_dead_target(self, capsys):
-        import socket
-
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            dead_port = sock.getsockname()[1]
-        code = main(
-            ["loadgen", "--port", str(dead_port), "--duration", "0.2",
-             "--fail-on-unhandled"]
-        )
-        assert code == 1
-        assert "connection error" in capsys.readouterr().err
-
-
-class TestMonitorOverloadFlags:
-    def test_bad_rate_limit_spec_exits_2(self, capsys):
-        code = main(
-            ["monitor", "--chain", "bitcoin", "--blocks", "500",
-             "--rate-limit", "fast"]
-        )
-        assert code == 2
-        assert "rate limit" in capsys.readouterr().err
-
+class TestMonitorIngestQueue:
     def test_bad_ingest_queue_exits_2(self, capsys):
         code = main(
             ["monitor", "--chain", "bitcoin", "--blocks", "500",
@@ -899,33 +840,32 @@ class TestMonitorOverloadFlags:
         assert code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
-    def test_bad_max_inflight_exits_2(self, capsys):
-        code = main(
-            ["monitor", "--chain", "bitcoin", "--blocks", "500",
-             "--max-inflight", "0"]
-        )
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+    def test_queued_replay_prints_what_the_inline_run_prints(self, capsys):
+        # Backpressure, not loss: an unthrottled replay outruns the
+        # consumer, yet the queue delivers every block.
+        assert main(["monitor", "--chain", "btc"]) == 0
+        inline = capsys.readouterr().out
+        assert main(["monitor", "--chain", "btc", "--ingest-queue", "16"]) == 0
+        queued = capsys.readouterr().out
 
-    def test_monitor_with_overload_and_ingest_queue_runs_clean(self, capsys):
-        code = main(
-            ["monitor", "--chain", "bitcoin", "--blocks", "500",
-             "--max-inflight", "8", "--rate-limit", "1000:2000",
-             "--ingest-queue", "16", "--ingest-policy", "block"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        # Backpressure, not loss: every block arrives despite the bound.
-        assert "monitored 500 blocks" in out
-        assert "dropped by ingest queue" not in out
+        def summary(out: str) -> list[str]:
+            return [
+                line for line in out.splitlines()
+                if line.startswith(("monitored ", "latest:"))
+            ]
 
-    def test_drop_oldest_replay_reports_dropped_blocks(self, capsys):
-        # An unthrottled replay outruns the consumer; drop-oldest sheds
-        # the backlog and the summary says how much was lost.
-        code = main(
-            ["monitor", "--chain", "bitcoin", "--blocks", "500",
-             "--ingest-queue", "16", "--ingest-policy", "drop-oldest"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "dropped by ingest queue" in out
+        assert len(summary(inline)) == 2
+        assert summary(queued) == summary(inline)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["monitor", "--chain", "btc", "--max-inflight", "4"],
+            ["loadgen", "--port", "80"],
+        ],
+    )
+    def test_removed_serving_options_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -19,8 +19,6 @@ import repro.metrics.nakamoto
 import repro.metrics.theil
 import repro.metrics.topk
 import repro.serve.http
-import repro.serve.loadgen
-import repro.serve.overload
 import repro.sql.executor
 import repro.viz.tables
 import repro.windows.sliding
@@ -41,8 +39,6 @@ MODULES = [
     repro.metrics.theil,
     repro.metrics.topk,
     repro.serve.http,
-    repro.serve.loadgen,
-    repro.serve.overload,
     repro.sql.executor,
     repro.viz.tables,
     repro.windows.sliding,
